@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the format conversion and
-// GeMM kernels: the software cost of the operations the Anda hardware
-// accelerates.
+// GeMM kernels — the software cost of the operations the Anda hardware
+// accelerates — plus the KV unpack and attention kernels of decode.
 
 #include <benchmark/benchmark.h>
 
@@ -8,7 +8,9 @@
 
 #include "common/rng.h"
 #include "format/compressor.h"
+#include "format/kv_format.h"
 #include "kernels/gemm.h"
+#include "llm/ops.h"
 
 namespace {
 
@@ -159,6 +161,65 @@ BM_GemmAndaBitExactMT(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64 * 256 * 64);
 }
 BENCHMARK(BM_GemmAndaBitExactMT)->Arg(4)->Arg(8)->Arg(13);
+
+// Dequantize-on-attend: unpacking one 128-wide cached K/V row (the sim
+// models' d_model), the per-row cost a quantized cache pays for every
+// prefix row, every layer and every decode step.
+void
+BM_KvUnpackRow(benchmark::State &state, KvFormat fmt)
+{
+    constexpr std::size_t kRows = 256;
+    constexpr std::size_t kWidth = 128;
+    const auto vals = random_values(kRows * kWidth, 9);
+    const std::size_t bytes = kv_row_bytes(fmt, kWidth);
+    std::vector<std::byte> packed(kRows * bytes);
+    for (std::size_t r = 0; r < kRows; ++r) {
+        kv_pack_row(fmt, std::span(vals).subspan(r * kWidth, kWidth),
+                    std::span(packed).subspan(r * bytes, bytes));
+    }
+    std::vector<float> out(kWidth);
+    for (auto _ : state) {
+        for (std::size_t r = 0; r < kRows; ++r) {
+            kv_unpack_row(fmt,
+                          std::span(packed).subspan(r * bytes, bytes),
+                          out);
+            benchmark::DoNotOptimize(out.data());
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK_CAPTURE(BM_KvUnpackRow, fp32, KvFormat::fp32());
+BENCHMARK_CAPTURE(BM_KvUnpackRow, anda_m4, KvFormat::anda(4));
+BENCHMARK_CAPTURE(BM_KvUnpackRow, anda_m7, KvFormat::anda(7));
+BENCHMARK_CAPTURE(BM_KvUnpackRow, anda_m12, KvFormat::anda(12));
+BENCHMARK_CAPTURE(BM_KvUnpackRow, bfp_g64_m7, KvFormat::bfp(64, 7));
+
+// One decode query of one 32-wide head (the sim models' head_dim)
+// attending over kv_len cached rows that are read in place.
+void
+BM_CausalAttentionHead(benchmark::State &state)
+{
+    const std::size_t kv_len = static_cast<std::size_t>(state.range(0));
+    const Matrix q = random_matrix(1, 128, 10);
+    const Matrix k = random_matrix(kv_len, 128, 11);
+    const Matrix v = random_matrix(kv_len, 128, 12);
+    Matrix out(1, 128);
+    const std::vector<const float *> qrows = {q.data()};
+    const std::vector<float *> orows = {out.data()};
+    std::vector<const float *> krows(kv_len);
+    std::vector<const float *> vrows(kv_len);
+    for (std::size_t t = 0; t < kv_len; ++t) {
+        krows[t] = k.row(t).data();
+        vrows[t] = v.row(t).data();
+    }
+    for (auto _ : state) {
+        causal_attention_head(qrows, krows, vrows, /*col=*/32,
+                              /*head_dim=*/32, kv_len - 1, orows);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() * kv_len);
+}
+BENCHMARK(BM_CausalAttentionHead)->Arg(64)->Arg(512)->Arg(1024);
 
 }  // namespace
 

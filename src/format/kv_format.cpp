@@ -1,6 +1,7 @@
 #include "format/kv_format.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -274,7 +275,9 @@ pack_anda(const KvFormat &fmt, std::span<const float> row,
             }
         } else {
             // Word-level fast path: scatter each member's set bits
-            // into its planes (sparse — one step per set bit).
+            // into its planes, one step per set bit (pack runs once
+            // per row; the dense transpose is on the unpack side,
+            // which attention runs every step).
             for (std::size_t i = 0; i < len; ++i) {
                 if (scratch.sign[i]) {
                     planes[0] |= std::uint64_t{1} << i;
@@ -295,45 +298,101 @@ pack_anda(const KvFormat &fmt, std::span<const float> row,
     ANDA_DCHECK_EQ(off, out.size(), "Anda KV row size mismatch");
 }
 
+/// kSpread[x] puts bit k of byte x into bit 0 of byte lane k: one
+/// plane byte (8 group members) becomes eight 8-bit lanes.
+constexpr std::array<std::uint64_t, 256> kSpread = [] {
+    std::array<std::uint64_t, 256> t{};
+    for (std::size_t x = 0; x < t.size(); ++x) {
+        for (int k = 0; k < 8; ++k) {
+            t[x] |= static_cast<std::uint64_t>((x >> k) & 1)
+                    << (8 * k);
+        }
+    }
+    return t;
+}();
+
+/// Bit 0 of every byte lane.
+constexpr std::uint64_t kLaneLsb = 0x0101010101010101ULL;
+
+inline std::uint64_t
+spread(std::byte plane_byte)
+{
+    return kSpread[std::to_integer<std::uint8_t>(plane_byte)];
+}
+
+/// Writes the eight byte lanes of `w` to out[0..8), lane 0 first.
+inline void
+store_lanes(std::uint64_t w, std::uint8_t *out)
+{
+    for (int k = 0; k < 8; ++k) {
+        out[k] = static_cast<std::uint8_t>(w >> (8 * k));
+    }
+}
+
 void
 unpack_anda(const KvFormat &fmt, std::span<const std::byte> in,
             std::span<float> out, bool serial)
 {
     const int m = fmt.mantissa_bits;
     constexpr std::size_t gs = kAndaGroupSize;
+    constexpr std::size_t words = gs / 8;
     std::size_t off = 0;
     for (std::size_t base = 0; base < out.size(); base += gs) {
         const std::size_t len = std::min(gs, out.size() - base);
         const int exp = std::to_integer<int>(in[off]);
         const float scale = bfp_group_scale(exp, m);
         const std::byte *body = in.data() + off + 1;
-        const std::uint64_t sign_plane = load_u64_le(body);
-        std::uint32_t mant[gs] = {};
         if (serial) {
+            const std::uint64_t sign_plane = load_u64_le(body);
             for (std::size_t i = 0; i < len; ++i) {
+                std::uint32_t mant = 0;
                 for (int p = 0; p < m; ++p) {
                     const std::uint64_t plane =
                         load_u64_le(body + 8 * (1 + p));
-                    mant[i] = (mant[i] << 1) |
-                              static_cast<std::uint32_t>(
-                                  (plane >> i) & 1);
+                    mant = (mant << 1) |
+                           static_cast<std::uint32_t>((plane >> i) & 1);
                 }
+                const float mag = static_cast<float>(mant) * scale;
+                out[base + i] = ((sign_plane >> i) & 1) ? -mag : mag;
             }
         } else {
+            // Word-level plane transpose (SWAR): each plane byte is
+            // spread into eight 8-bit lanes and shifted into its lane
+            // accumulator, MSB plane first. The bit shifted out of a
+            // low lane carries into the same lane of the high word,
+            // so every m in [1, 16] takes this one path.
+            std::uint64_t lo_w[words] = {};
+            std::uint64_t hi_w[words] = {};
             for (int p = 0; p < m; ++p) {
-                std::uint64_t plane = load_u64_le(body + 8 * (1 + p));
-                const std::uint32_t weight = std::uint32_t{1}
-                                             << (m - 1 - p);
-                while (plane != 0) {
-                    const int i = std::countr_zero(plane);
-                    plane &= plane - 1;
-                    mant[static_cast<std::size_t>(i)] += weight;
+                const std::byte *plane = body + 8 * (1 + p);
+                for (std::size_t b = 0; b < words; ++b) {
+                    hi_w[b] =
+                        (hi_w[b] << 1) | ((lo_w[b] >> 7) & kLaneLsb);
+                    lo_w[b] = ((lo_w[b] << 1) & ~kLaneLsb) |
+                              spread(plane[b]);
                 }
             }
-        }
-        for (std::size_t i = 0; i < len; ++i) {
-            const float mag = static_cast<float>(mant[i]) * scale;
-            out[base + i] = ((sign_plane >> i) & 1) ? -mag : mag;
+            // Member i's sign bit and its mantissa's low and high bytes.
+            std::uint8_t sign[gs];
+            std::uint8_t lo[gs];
+            std::uint8_t hi[gs];
+            for (std::size_t b = 0; b < words; ++b) {
+                store_lanes(spread(body[b]), sign + 8 * b);
+                store_lanes(lo_w[b], lo + 8 * b);
+                store_lanes(hi_w[b], hi + 8 * b);
+            }
+            // The sign is an XOR of the float sign bit: bit-identical
+            // to negating the magnitude, +0 -> -0 included.
+            float *dst = out.data() + base;
+            for (std::size_t i = 0; i < len; ++i) {
+                const auto mant =
+                    static_cast<std::uint32_t>(lo[i]) |
+                    (static_cast<std::uint32_t>(hi[i]) << 8);
+                const float mag = static_cast<float>(mant) * scale;
+                dst[i] = std::bit_cast<float>(
+                    std::bit_cast<std::uint32_t>(mag) ^
+                    (static_cast<std::uint32_t>(sign[i]) << 31));
+            }
         }
         off += anda_group_bytes(m);
     }

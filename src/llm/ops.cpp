@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 
@@ -96,36 +97,63 @@ rope_inplace(std::span<float> head, int pos)
 }
 
 void
-causal_attention_head(const Matrix &q, const Matrix &k, const Matrix &v,
-                      std::size_t kv_len, std::size_t q_offset,
-                      Matrix &out)
+causal_attention_head(std::span<const float *const> q,
+                      std::span<const float *const> k,
+                      std::span<const float *const> v, std::size_t col,
+                      std::size_t head_dim, std::size_t q_offset,
+                      std::span<float *const> out)
 {
-    ANDA_DCHECK(q.cols() == k.cols() && k.cols() == v.cols(),
-                "attention head dims must agree");
-    ANDA_DCHECK_LE(kv_len, k.rows());
-    ANDA_DCHECK(out.rows() == q.rows() && out.cols() == v.cols(),
-                "attention output shape mismatch");
+    ANDA_DCHECK_EQ(k.size(), v.size(), "attention K/V row counts differ");
+    ANDA_DCHECK_EQ(q.size(), out.size(),
+                   "attention output row count mismatch");
+    const std::size_t kv_len = k.size();
     const float scale =
-        1.0f / std::sqrt(static_cast<float>(q.cols()));
+        1.0f / std::sqrt(static_cast<float>(head_dim));
+    // Keys transposed to [head_dim x kv_len], so the score pass runs
+    // contiguously over keys: each key still sums its channels in
+    // ascending order, many keys at a time. The transpose goes a
+    // block of keys at a time, channel-major inside the block, so
+    // each inner loop fills whole cache lines of one kt row (a kt
+    // row stride of 4 KiB would otherwise thrash one L1 set).
+    constexpr std::size_t kBlock = 16;
+    std::vector<float> kt(head_dim * kv_len);
+    for (std::size_t j0 = 0; j0 < kv_len; j0 += kBlock) {
+        const std::size_t j1 = std::min(kv_len, j0 + kBlock);
+        for (std::size_t c = 0; c < head_dim; ++c) {
+            float *dst = kt.data() + c * kv_len;
+            for (std::size_t j = j0; j < j1; ++j) {
+                dst[j] = k[j][col + c];
+            }
+        }
+    }
     std::vector<float> scores(kv_len);
-    for (std::size_t i = 0; i < q.rows(); ++i) {
+    for (std::size_t i = 0; i < q.size(); ++i) {
         const std::size_t visible =
             std::min(kv_len, q_offset + i + 1);
-        for (std::size_t j = 0; j < visible; ++j) {
-            float s = 0.0f;
-            for (std::size_t c = 0; c < q.cols(); ++c) {
-                s += q(i, c) * k(j, c);
-            }
-            scores[j] = s * scale;
-        }
-        std::span<float> row(scores.data(), visible);
-        softmax_inplace(row);
-        for (std::size_t c = 0; c < v.cols(); ++c) {
-            float acc = 0.0f;
+        const float *qi = q[i] + col;
+        float *s = scores.data();
+        std::fill_n(s, visible, 0.0f);
+        for (std::size_t c = 0; c < head_dim; ++c) {
+            const float qc = qi[c];
+            const float *kc = kt.data() + c * kv_len;
             for (std::size_t j = 0; j < visible; ++j) {
-                acc += scores[j] * v(j, c);
+                s[j] += qc * kc[j];
             }
-            out(i, c) = acc;
+        }
+        for (std::size_t j = 0; j < visible; ++j) {
+            s[j] *= scale;
+        }
+        softmax_inplace({s, visible});
+        // Context: each channel sums its keys in ascending order,
+        // all channels of one value row at a time.
+        float *o = out[i] + col;
+        std::fill_n(o, head_dim, 0.0f);
+        for (std::size_t j = 0; j < visible; ++j) {
+            const float sj = s[j];
+            const float *vj = v[j] + col;
+            for (std::size_t c = 0; c < head_dim; ++c) {
+                o[c] += sj * vj[c];
+            }
         }
     }
 }

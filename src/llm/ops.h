@@ -6,10 +6,8 @@
 /// rounded through FP16 at module boundaries, matching the paper's
 /// deployment assumption (only the four FP-INT GeMMs change format).
 
+#include <cstddef>
 #include <span>
-#include <vector>
-
-#include "common/matrix.h"
 
 namespace anda {
 
@@ -34,12 +32,22 @@ float silu(float x);
 /// even); `pos` is the absolute token position.
 void rope_inplace(std::span<float> head, int pos);
 
-/// Causal single-head attention: q, k, v are [t x head_dim] for one
-/// head; writes the context into out (same shape). `kv_len` rows of
-/// k/v are valid; query row i attends to keys [0, q_offset + i].
-void causal_attention_head(const Matrix &q, const Matrix &k,
-                           const Matrix &v, std::size_t kv_len,
-                           std::size_t q_offset, Matrix &out);
+/// Causal single-head attention over head-strided row views: each
+/// argument holds one pointer per row, and the head occupies columns
+/// [col, col + head_dim) of every row, so the rows can sit in place in
+/// a projection block, a KV cache page or an unpack buffer. Query row
+/// i attends to keys [0, min(k.size(), q_offset + i + 1)) and its
+/// context is accumulated in place in out[i][col, col + head_dim),
+/// which must not overlap any q, k or v row. Every output is summed in
+/// the same order as the plain scalar loops (scores over channels
+/// ascending, context over keys ascending, both from 0.0f), so the
+/// result does not depend on how the loops are vectorized.
+void causal_attention_head(std::span<const float *const> q,
+                           std::span<const float *const> k,
+                           std::span<const float *const> v,
+                           std::size_t col, std::size_t head_dim,
+                           std::size_t q_offset,
+                           std::span<float *const> out);
 
 /// Log-softmax of one row returned as the log-probability of `target`.
 double log_prob_of(std::span<const float> logits, int target);

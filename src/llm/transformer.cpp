@@ -320,21 +320,18 @@ Transformer::run_block(std::size_t layer, Matrix &x,
 
     Matrix ctx(t_len, d);
     {
-        // Scratch head views, re-shaped only when the sequence length
-        // (and hence kv_len) changes across the ragged batch.
-        Matrix qh;
-        Matrix kh;
-        Matrix vh;
-        Matrix oh;
-        // Per-row K/V source spans of the current sequence, resolved
-        // once per sequence (not once per head): with a cache the
-        // rows come through the KvSeq page/slab indirection; without
-        // one, from the local projection block.
-        std::vector<std::span<const float>> krows;
-        std::vector<std::span<const float>> vrows;
+        // Per-row pointers of the current sequence, resolved once per
+        // sequence (not once per head); the attention kernel reads
+        // each head's columns in place. With a cache the K/V rows
+        // come through the KvSeq page/slab indirection; without one,
+        // from the local projection block.
+        std::vector<const float *> qrows;
+        std::vector<float *> orows;
+        std::vector<const float *> krows;
+        std::vector<const float *> vrows;
         // Dequantize-on-attend scratch: a quantized cache has no
         // in-place float rows, so its prefix is unpacked here once
-        // per (sequence, layer) and the spans point into the scratch.
+        // per (sequence, layer) and the pointers address the scratch.
         Matrix kgat;
         Matrix vgat;
         std::size_t r0 = 0;
@@ -359,49 +356,30 @@ Transformer::run_block(std::size_t layer, Matrix &x,
                     for (std::size_t t = 0; t < kv_len; ++t) {
                         c.load_k(layer, t, kgat.row(t));
                         c.load_v(layer, t, vgat.row(t));
-                        krows[t] = kgat.row(t);
-                        vrows[t] = vgat.row(t);
+                        krows[t] = kgat.row(t).data();
+                        vrows[t] = vgat.row(t).data();
                     }
                 } else {
                     for (std::size_t t = 0; t < kv_len; ++t) {
-                        krows[t] = c.k_row(layer, t);
-                        vrows[t] = c.v_row(layer, t);
+                        krows[t] = c.k_row(layer, t).data();
+                        vrows[t] = c.v_row(layer, t).data();
                     }
                 }
             } else {
                 for (std::size_t t = 0; t < kv_len; ++t) {
-                    krows[t] = k.row(r0 + t);
-                    vrows[t] = v.row(r0 + t);
+                    krows[t] = k.row(r0 + t).data();
+                    vrows[t] = v.row(r0 + t).data();
                 }
             }
-            if (qh.rows() != len) {
-                qh = Matrix(len, hd);
-                oh = Matrix(len, hd);
-            }
-            if (kh.rows() != kv_len) {
-                kh = Matrix(kv_len, hd);
-                vh = Matrix(kv_len, hd);
+            qrows.resize(len);
+            orows.resize(len);
+            for (std::size_t t = 0; t < len; ++t) {
+                qrows[t] = q.row(r0 + t).data();
+                orows[t] = ctx.row(r0 + t).data();
             }
             for (std::size_t h = 0; h < heads; ++h) {
-                for (std::size_t t = 0; t < len; ++t) {
-                    const auto src =
-                        q.row(r0 + t).subspan(h * hd, hd);
-                    std::copy(src.begin(), src.end(),
-                              qh.row(t).begin());
-                }
-                for (std::size_t t = 0; t < kv_len; ++t) {
-                    const auto ks = krows[t].subspan(h * hd, hd);
-                    const auto vs = vrows[t].subspan(h * hd, hd);
-                    std::copy(ks.begin(), ks.end(), kh.row(t).begin());
-                    std::copy(vs.begin(), vs.end(), vh.row(t).begin());
-                }
-                causal_attention_head(qh, kh, vh, kv_len, base, oh);
-                for (std::size_t t = 0; t < len; ++t) {
-                    const auto dst =
-                        ctx.row(r0 + t).subspan(h * hd, hd);
-                    std::copy(oh.row(t).begin(), oh.row(t).end(),
-                              dst.begin());
-                }
+                causal_attention_head(qrows, krows, vrows, h * hd, hd,
+                                      base, orows);
             }
             r0 += len;
         }

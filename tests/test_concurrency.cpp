@@ -81,6 +81,10 @@ TEST(Concurrency, NestedParallelForRunsInline)
     constexpr std::size_t kOuter = 64;
     constexpr std::size_t kInner = 64;
     std::vector<std::atomic<int>> counts(kOuter);
+    // The pool starts lazily on the first parallel_for of the process;
+    // warm it so the snapshot below sees only threads the nested
+    // region itself would create.
+    parallel_for(0, kOuter, [](std::size_t) {});
     const std::size_t created_before = parallel_threads_created();
     parallel_for(0, kOuter, [&](std::size_t o) {
         EXPECT_TRUE(parallel_nested());

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "common/matrix.h"
+#include "common/rng.h"
 #include "llm/corpus.h"
 #include "llm/ops.h"
 #include "llm/transformer.h"
@@ -92,6 +97,139 @@ TEST(Ops, SamplingIsGreedyAtLowTemperature)
     std::vector<float> logits = {0.1f, 5.0f, 0.2f};
     for (double u : {0.01, 0.5, 0.99}) {
         EXPECT_EQ(sample_from_logits(logits, 0.05, u), 1);
+    }
+}
+
+// The scalar per-head attention over copied [rows x head_dim] blocks
+// that the row-view kernel replaced, kept verbatim as its bit-exact
+// reference.
+void
+reference_attention_head(const Matrix &q, const Matrix &k,
+                         const Matrix &v, std::size_t kv_len,
+                         std::size_t q_offset, Matrix &out)
+{
+    ANDA_DCHECK(q.cols() == k.cols() && k.cols() == v.cols(),
+                "attention head dims must agree");
+    ANDA_DCHECK_LE(kv_len, k.rows());
+    ANDA_DCHECK(out.rows() == q.rows() && out.cols() == v.cols(),
+                "attention output shape mismatch");
+    const float scale =
+        1.0f / std::sqrt(static_cast<float>(q.cols()));
+    std::vector<float> scores(kv_len);
+    for (std::size_t i = 0; i < q.rows(); ++i) {
+        const std::size_t visible =
+            std::min(kv_len, q_offset + i + 1);
+        for (std::size_t j = 0; j < visible; ++j) {
+            float s = 0.0f;
+            for (std::size_t c = 0; c < q.cols(); ++c) {
+                s += q(i, c) * k(j, c);
+            }
+            scores[j] = s * scale;
+        }
+        std::span<float> row(scores.data(), visible);
+        softmax_inplace(row);
+        for (std::size_t c = 0; c < v.cols(); ++c) {
+            float acc = 0.0f;
+            for (std::size_t j = 0; j < visible; ++j) {
+                acc += scores[j] * v(j, c);
+            }
+            out(i, c) = acc;
+        }
+    }
+}
+
+// Gaussian entries with signed zeros and subnormals mixed in.
+void
+fill_attention_input(Matrix &m, SplitMix64 &rng)
+{
+    for (float &x : m.flat()) {
+        const double u = rng.uniform();
+        if (u < 0.03) {
+            x = -0.0f;
+        } else if (u < 0.06) {
+            x = 0.0f;
+        } else if (u < 0.09) {
+            x = static_cast<float>(rng.normal(0.0, 1.0)) * 1e-39f;
+        } else {
+            x = static_cast<float>(rng.normal(0.0, 1.5));
+        }
+    }
+}
+
+TEST(Ops, CausalAttentionHeadMatchesScalarReferenceBitForBit)
+{
+    SplitMix64 rng(2024);
+    constexpr std::size_t kHeads = 3;
+    for (const std::size_t hd : {8u, 32u, 64u}) {
+        const std::size_t width = kHeads * hd;
+        for (int trial = 0; trial < 12; ++trial) {
+            const std::size_t n_q = 1 + rng.uniform_index(33);
+            const std::size_t kv_len =
+                n_q + rng.uniform_index(1100 - n_q + 1);
+            // Offsets around the point where the last query row sees
+            // exactly every key, plus both extremes.
+            const std::size_t edge = kv_len - n_q;
+            std::vector<std::size_t> offsets = {0, edge, edge + 1,
+                                                kv_len};
+            if (edge > 0) {
+                offsets.push_back(edge - 1);
+            }
+            Matrix q(n_q, width);
+            Matrix k(kv_len, width);
+            Matrix v(kv_len, width);
+            fill_attention_input(q, rng);
+            fill_attention_input(k, rng);
+            fill_attention_input(v, rng);
+            std::vector<const float *> qrows;
+            std::vector<const float *> krows;
+            std::vector<const float *> vrows;
+            for (std::size_t t = 0; t < n_q; ++t) {
+                qrows.push_back(q.row(t).data());
+            }
+            for (std::size_t t = 0; t < kv_len; ++t) {
+                krows.push_back(k.row(t).data());
+                vrows.push_back(v.row(t).data());
+            }
+            const std::size_t h = rng.uniform_index(kHeads);
+            const std::size_t col = h * hd;
+            Matrix qh(n_q, hd);
+            Matrix kh(kv_len, hd);
+            Matrix vh(kv_len, hd);
+            for (std::size_t t = 0; t < n_q; ++t) {
+                std::copy_n(q.row(t).data() + col, hd, qh.row(t).data());
+            }
+            for (std::size_t t = 0; t < kv_len; ++t) {
+                std::copy_n(k.row(t).data() + col, hd, kh.row(t).data());
+                std::copy_n(v.row(t).data() + col, hd, vh.row(t).data());
+            }
+            for (const std::size_t q_offset : offsets) {
+                Matrix want(n_q, hd);
+                reference_attention_head(qh, kh, vh, kv_len, q_offset,
+                                         want);
+                Matrix got(n_q, width);
+                got.fill(7.0f);
+                std::vector<float *> orows;
+                for (std::size_t t = 0; t < n_q; ++t) {
+                    orows.push_back(got.row(t).data());
+                }
+                causal_attention_head(qrows, krows, vrows, col, hd,
+                                      q_offset, orows);
+                for (std::size_t t = 0; t < n_q; ++t) {
+                    EXPECT_EQ(std::memcmp(got.row(t).data() + col,
+                                          want.row(t).data(),
+                                          hd * sizeof(float)),
+                              0)
+                        << "hd=" << hd << " kv_len=" << kv_len
+                        << " q_offset=" << q_offset << " row=" << t;
+                    // Columns of the other heads are left untouched.
+                    for (std::size_t c = 0; c < width; ++c) {
+                        if (c < col || c >= col + hd) {
+                            ASSERT_EQ(got(t, c), 7.0f);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
