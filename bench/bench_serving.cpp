@@ -255,13 +255,11 @@ main()
     std::fputs(run_report.summary().c_str(), stdout);
 
     // --- Paged KV under overload: the same burst stream scheduled
-    // against one fixed memory budget under each cache policy. The
-    // prompt-gated slab admits optimistically and overshoots the
-    // budget during decode (a real deployment OOMs); the reserving
-    // slab stays under it but strangles concurrency; the paged pool
-    // rides out the overload by preempting and never exceeds its
-    // page budget. Pricing-only — the policies shape admission and
-    // step composition, which is all the perf model needs.
+    // against one fixed page budget under each preemption policy. The
+    // paged pool rides out the overload by preempting and never
+    // exceeds its page budget. Pricing-only — the policies shape
+    // admission and step composition, which is all the perf model
+    // needs.
     {
         RequestStreamSpec burst = base;
         burst.arrival_rate = 0.0;
@@ -283,15 +281,7 @@ main()
         };
         std::vector<PolicyRow> rows;
         {
-            PolicyRow slab{"slab prompt-gated", common};
-            slab.opts.max_cache_tokens = budget_rows;
-            rows.push_back(slab);
-            PolicyRow reserve{"slab reserving", common};
-            reserve.opts.cache_policy = CachePolicy::kSlabReserve;
-            reserve.opts.max_cache_tokens = budget_rows;
-            rows.push_back(reserve);
             PolicyRow recompute{"paged recompute", common};
-            recompute.opts.cache_policy = CachePolicy::kPaged;
             recompute.opts.page_size = page_size;
             recompute.opts.page_budget = page_budget;
             recompute.opts.preempt = PreemptPolicy::kRecompute;
@@ -319,22 +309,16 @@ main()
             const ServingReport r =
                 simulate_serving(model, anda_sys, tech16(),
                                  burst_requests, row.opts);
-            const bool paged =
-                row.opts.cache_policy == CachePolicy::kPaged;
-            std::string peak_cache = std::to_string(r.peak_cache_tokens);
-            // Resident rows above the budget mean OOM only for slabs;
-            // under paging with a shared prefix, adopted pages count
-            // once while their rows count once per adopting sequence.
-            if (!paged && r.peak_cache_tokens > budget_rows) {
-                peak_cache += " (OOM)";
-            }
+            // Peak rows may exceed budget_rows with a shared prefix:
+            // adopted pages count once while their rows count once
+            // per adopting sequence.
             table.add_row(
-                {row.label, fmt(r.makespan_s * 1e3, 1), peak_cache,
-                 paged ? std::to_string(r.peak_used_pages) + "/" +
-                             std::to_string(page_budget)
-                       : "-",
+                {row.label, fmt(r.makespan_s * 1e3, 1),
+                 std::to_string(r.peak_cache_tokens),
+                 std::to_string(r.peak_used_pages) + "/" +
+                     std::to_string(page_budget),
                  std::to_string(r.preemptions),
-                 paged ? fmt(r.mean_fragmentation() * 100.0, 1) : "-",
+                 fmt(r.mean_fragmentation() * 100.0, 1),
                  std::to_string(r.reused_prefix_tokens),
                  std::to_string(r.recomputed_tokens)});
         }
@@ -388,7 +372,6 @@ main()
             opts.max_batch = static_cast<std::size_t>(base.n_requests);
             opts.max_step_tokens = 256;
             opts.tuple = {8, 7, 7, 6};
-            opts.cache_policy = CachePolicy::kPaged;
             opts.page_size = 32;
             opts.kv_byte_budget = budget_bytes;
             opts.kv_format = row.fmt;
@@ -518,7 +501,6 @@ main()
         slo.max_batch = 8;
         slo.max_step_tokens = 256;
         slo.tuple = {8, 7, 7, 6};
-        slo.cache_policy = CachePolicy::kPaged;
         slo.page_size = 32;
         slo.page_budget = 48;
         slo.preempt = PreemptPolicy::kSwap;

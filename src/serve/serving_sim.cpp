@@ -26,7 +26,7 @@ struct Running {
     std::size_t resident = 0;
 };
 
-/// A preempted request waiting to be readmitted (kPaged only).
+/// A preempted request waiting to be readmitted.
 struct Preempted {
     std::size_t idx = 0;
     std::size_t resident = 0;
@@ -46,8 +46,8 @@ struct StepPlan {
 
 /// Execution-mode state of one admitted request: its synthetic prompt
 /// and its private sampling stream (schedule-independent by
-/// construction). The KV cache lives outside so the scheduler can
-/// manage slab and paged layouts uniformly.
+/// construction). The KV cache lives outside, in the scheduler's page
+/// pool, which pricing-only runs drive identically.
 struct ExecRequest {
     ExecRequest(const Transformer &tf, const Request &r,
                 std::uint64_t seed, int shared_prefix_len)
@@ -277,14 +277,12 @@ ServingReport::summary() const
         << mean_decode_s_per_token() * 1e3 << " ms/tok; "
         << steps.size() << " steps, peak batch " << peak_batch
         << ", peak cache " << peak_cache_tokens << " tok";
-    if (page_budget > 0) {
-        out << "; paged " << peak_used_pages << "/" << page_budget
-            << " peak pages x" << page_size << ", " << preemptions
-            << " preempt / " << readmits << " readmit, frag "
-            << std::setprecision(1) << mean_fragmentation() * 100.0
-            << "%, reuse " << reused_prefix_tokens << " tok, recompute "
-            << recomputed_tokens << " tok" << std::setprecision(3);
-    }
+    out << "; paged " << peak_used_pages << "/" << page_budget
+        << " peak pages x" << page_size << ", " << preemptions
+        << " preempt / " << readmits << " readmit, frag "
+        << std::setprecision(1) << mean_fragmentation() * 100.0
+        << "%, reuse " << reused_prefix_tokens << " tok, recompute "
+        << recomputed_tokens << " tok" << std::setprecision(3);
     if (dropped + shed + failed + step_faults + swap_faults > 0) {
         out << "; robust " << completed << " ok / " << dropped
             << " drop / " << shed << " shed / " << failed
@@ -407,13 +405,14 @@ simulate_serving(const ModelConfig &model,
                  std::span<const Request> requests,
                  const ServingOptions &opts_in)
 {
-    // Local copy: the kv_byte_budget knob is resolved into the native
-    // capacity knobs (max_cache_tokens / page_budget) up front, so
-    // every downstream gate reads one consistent set of limits.
+    // Local copy: page_budget is resolved (from kv_byte_budget, or
+    // derived when no budget is given) up front, so every downstream
+    // gate reads one consistent limit.
     ServingOptions opts = opts_in;
     ANDA_CHECK(!requests.empty(), "empty request stream");
     ANDA_CHECK(opts.max_batch > 0 && opts.max_step_tokens > 0,
                "zero serving batch or budget");
+    ANDA_CHECK(opts.page_size > 0, "serving needs a page size");
     ANDA_CHECK(std::isfinite(opts.swap_gbps),
                "non-finite swap bandwidth");
     ANDA_CHECK(opts.swap_gbps >= 0.0, "negative swap bandwidth");
@@ -422,7 +421,6 @@ simulate_serving(const ModelConfig &model,
     const FaultInjector injector(opts.faults);  // Validates the spec.
     const bool faults_on = opts.faults.enabled();
     const bool exec = opts.executor != nullptr;
-    const bool paged = opts.cache_policy == CachePolicy::kPaged;
     const std::size_t ps = opts.page_size;
     // KV bytes of one cached token at the real model dims: K and V
     // rows across every layer, at the cache format's packed width.
@@ -430,28 +428,6 @@ simulate_serving(const ModelConfig &model,
         2 * static_cast<std::size_t>(model.real.n_layers) *
         kv_row_bytes(opts.kv_format,
                      static_cast<std::size_t>(model.real.d_model));
-    if (opts.kv_byte_budget > 0) {
-        if (paged) {
-            ANDA_CHECK(opts.page_budget == 0,
-                       "kv_byte_budget and page_budget are mutually "
-                       "exclusive");
-            ANDA_CHECK(ps > 0, "paged serving needs a page size");
-            opts.page_budget =
-                opts.kv_byte_budget / (ps * kv_bytes_per_token);
-            ANDA_CHECK(opts.page_budget > 0,
-                       "kv_byte_budget smaller than one page");
-        } else {
-            ANDA_CHECK(opts.max_cache_tokens == 0,
-                       "kv_byte_budget and max_cache_tokens are "
-                       "mutually exclusive");
-            opts.max_cache_tokens =
-                opts.kv_byte_budget / kv_bytes_per_token;
-            ANDA_CHECK(opts.max_cache_tokens > 0,
-                       "kv_byte_budget smaller than one cached token");
-        }
-    }
-    ANDA_CHECK(!paged || (ps > 0 && opts.page_budget > 0),
-               "paged serving needs a page budget");
     const std::size_t shared_len =
         opts.shared_prefix_len > 0
             ? static_cast<std::size_t>(opts.shared_prefix_len)
@@ -468,47 +444,48 @@ simulate_serving(const ModelConfig &model,
                           static_cast<std::size_t>(r.output_len) - 1);
         max_prompt =
             std::max(max_prompt, static_cast<std::size_t>(r.prompt_len));
-        ANDA_CHECK(paged || opts.max_cache_tokens == 0 ||
-                       static_cast<std::size_t>(r.prompt_len) <=
-                           opts.max_cache_tokens,
-                   "prompt cannot pass the cache admission gate");
-        ANDA_CHECK(opts.cache_policy != CachePolicy::kSlabReserve ||
-                       opts.max_cache_tokens == 0 ||
-                       static_cast<std::size_t>(r.prompt_len) +
-                               r.output_len - 1 <=
-                           opts.max_cache_tokens,
-                   "request footprint cannot pass the reserve gate");
         // A request caches prompt_len + output_len - 1 rows (every
         // decode input appends one); it must fit the executor.
         ANDA_CHECK(!exec || r.prompt_len + r.output_len - 1 <=
                                 opts.executor->dims().max_seq,
                    "request exceeds the executor's max_seq");
     }
-    if (paged) {
-        // Every request must be schedulable alone: its own worst-case
-        // pages, the shared-prefix anchor's pages, and one
-        // copy-on-extend page of slack.
-        const std::size_t anchor_bound = PagedKvCache::pages_for(
-            std::min(shared_len, max_prompt), ps);
-        for (const Request &r : requests) {
-            const std::size_t rows =
-                static_cast<std::size_t>(r.prompt_len) +
-                static_cast<std::size_t>(r.output_len) - 1;
-            ANDA_CHECK_LE(
-                PagedKvCache::pages_for(rows, ps) + anchor_bound + 1,
-                opts.page_budget, "request cannot fit the page budget");
-        }
+    // Pages the shared-prefix anchor can pin.
+    const std::size_t anchor_bound = PagedKvCache::pages_for(
+        std::min(shared_len, max_prompt), ps);
+    if (opts.kv_byte_budget > 0) {
+        ANDA_CHECK(opts.page_budget == 0,
+                   "kv_byte_budget and page_budget are mutually "
+                   "exclusive");
+        opts.page_budget =
+            opts.kv_byte_budget / (ps * kv_bytes_per_token);
+        ANDA_CHECK(opts.page_budget > 0,
+                   "kv_byte_budget smaller than one page");
+    } else if (opts.page_budget == 0) {
+        // No budget given: a pool that can never block. Each running
+        // request holds at most its own worst-case pages plus a
+        // copy-on-extend page, and the anchor pins at most
+        // anchor_bound, so admission and decode growth always fit and
+        // nothing waits or is preempted.
+        opts.page_budget =
+            opts.max_batch *
+                (PagedKvCache::pages_for(max_rows, ps) + 1) +
+            anchor_bound;
     }
+    // Every request must be schedulable alone: its own worst-case
+    // pages, the shared-prefix anchor's pages, and one copy-on-extend
+    // page of slack.
+    ANDA_CHECK_LE(PagedKvCache::pages_for(max_rows, ps) + anchor_bound +
+                      1,
+                  opts.page_budget, "request cannot fit the page budget");
 
     ServingReport report;
     report.model = model.name;
     report.system = system.name;
     report.kv_format = opts.kv_format.name();
     report.kv_bytes_per_token = kv_bytes_per_token;
-    if (paged) {
-        report.page_size = ps;
-        report.page_budget = opts.page_budget;
-    }
+    report.page_size = ps;
+    report.page_budget = opts.page_budget;
 
     // FCFS admission order: by arrival time, ids breaking ties.
     std::vector<const Request *> queue;
@@ -570,26 +547,19 @@ simulate_serving(const ModelConfig &model,
     // sequence, so page counts (and hence every scheduling decision)
     // are bit-identical between priced and executed runs.
     std::unique_ptr<KvPagePool> pool;
-    if (paged) {
-        if (exec) {
-            const ModelDims &d = opts.executor->dims();
-            pool = std::make_unique<KvPagePool>(
-                static_cast<std::size_t>(d.n_layers),
-                static_cast<std::size_t>(d.d_model),
-                static_cast<std::size_t>(d.max_seq), ps,
-                opts.page_budget, true, opts.kv_format);
-        } else {
-            pool = std::make_unique<KvPagePool>(1, 1, max_rows, ps,
-                                                opts.page_budget, false,
-                                                opts.kv_format);
-        }
+    if (exec) {
+        const ModelDims &d = opts.executor->dims();
+        pool = std::make_unique<KvPagePool>(
+            static_cast<std::size_t>(d.n_layers),
+            static_cast<std::size_t>(d.d_model),
+            static_cast<std::size_t>(d.max_seq), ps, opts.page_budget,
+            true, opts.kv_format);
+    } else {
+        pool = std::make_unique<KvPagePool>(1, 1, max_rows, ps,
+                                            opts.page_budget, false,
+                                            opts.kv_format);
     }
     std::vector<std::unique_ptr<PagedKvCache>> pcache(queue.size());
-    std::vector<std::unique_ptr<KvCache>> scache(queue.size());
-    const auto cache_of = [&](std::size_t idx) -> KvSeq & {
-        return paged ? static_cast<KvSeq &>(*pcache[idx])
-                     : static_cast<KvSeq &>(*scache[idx]);
-    };
 
     // Shared-prefix anchor: adopts the first admitted request's
     // prefix pages once they are committed; later admissions adopt
@@ -609,11 +579,6 @@ simulate_serving(const ModelConfig &model,
     std::vector<std::size_t> waiting;
     std::size_t next = 0;  // Arrival-ingestion cursor.
     double now = 0.0;
-    // Slab-gate occupancy: rows resident in caches plus the
-    // still-to-prefill prompt rows of admitted requests (kSlabPrompt),
-    // or the summed worst-case footprints (kSlabReserve).
-    std::size_t committed_cache = 0;
-    std::size_t reserved_footprint = 0;
     // Per-request swap-in attempt counters (the fault-stream key).
     std::vector<std::size_t> swap_attempts(queue.size(), 0);
     // Robustness events between steps, attached to the next recorded
@@ -807,17 +772,13 @@ simulate_serving(const ModelConfig &model,
             for (const Running &r : running) {
                 if (r.remaining_prefill == 0) {
                     ++plan.decode_tokens;
-                    if (paged) {
-                        decode_pages +=
-                            pcache[r.idx]->new_pages_needed(
-                                r.resident + 1);
-                    }
+                    decode_pages +=
+                        pcache[r.idx]->new_pages_needed(r.resident + 1);
                 }
             }
             plan.prefill_tokens = 0;
             plan.chunk.assign(running.size(), 0);
             const bool decode_fits =
-                !paged ||
                 decode_pages <= pool->allocator().free_pages();
             if (decode_fits) {
                 std::size_t budget =
@@ -825,31 +786,24 @@ simulate_serving(const ModelConfig &model,
                         ? opts.max_step_tokens - plan.decode_tokens
                         : 0;
                 std::size_t avail =
-                    paged ? pool->allocator().free_pages() -
-                                decode_pages
-                          : 0;
+                    pool->allocator().free_pages() - decode_pages;
                 for (std::size_t i = 0;
                      i < running.size() && budget > 0; ++i) {
                     if (running[i].remaining_prefill == 0) {
                         continue;
                     }
-                    std::size_t c =
-                        std::min(running[i].remaining_prefill, budget);
-                    if (paged) {
-                        const PagedKvCache &cache =
-                            *pcache[running[i].idx];
-                        const std::size_t ext =
-                            cache.max_extension(avail);
-                        c = std::min(
-                            c, ext > running[i].resident
-                                   ? ext - running[i].resident
-                                   : 0);
-                        if (c == 0) {
-                            continue;
-                        }
-                        avail -= cache.new_pages_needed(
-                            running[i].resident + c);
+                    const PagedKvCache &cache = *pcache[running[i].idx];
+                    const std::size_t ext = cache.max_extension(avail);
+                    const std::size_t c = std::min(
+                        {running[i].remaining_prefill, budget,
+                         ext > running[i].resident
+                             ? ext - running[i].resident
+                             : 0});
+                    if (c == 0) {
+                        continue;
                     }
+                    avail -=
+                        cache.new_pages_needed(running[i].resident + c);
                     plan.chunk[i] = c;
                     budget -= c;
                     plan.prefill_tokens += c;
@@ -859,7 +813,7 @@ simulate_serving(const ModelConfig &model,
                 plan.decode_tokens + plan.prefill_tokens > 0) {
                 return plan;
             }
-            ANDA_CHECK(paged && running.size() > 1,
+            ANDA_CHECK(running.size() > 1,
                        "scheduler cannot make progress within the page "
                        "budget");
             preempt_victim(step_preempts);
@@ -973,7 +927,7 @@ simulate_serving(const ModelConfig &model,
         // swap-in fault falls back to recompute), recompute re-enters
         // prefill over prompt + already-generated rows (emitting
         // nothing it already emitted).
-        while (paged && !preempted_q.empty() &&
+        while (!preempted_q.empty() &&
                running.size() < opts.max_batch) {
             Preempted &p = preempted_q.front();
             const std::size_t need =
@@ -1015,70 +969,43 @@ simulate_serving(const ModelConfig &model,
         // highest priority first. Readmissions drain first — new
         // admissions wait behind them.
         while (!waiting.empty() && running.size() < opts.max_batch &&
-               (!paged || preempted_q.empty())) {
+               preempted_q.empty()) {
             const std::size_t cand = waiting.front();
             RequestMetrics &m = report.requests[cand];
             const std::size_t prompt =
                 static_cast<std::size_t>(m.prompt_len);
-            std::size_t reuse = 0;
-            if (paged) {
-                // Adopt as much of the anchored shared prefix as this
-                // prompt covers, always leaving >= 1 row to prefill
-                // (the completing chunk's logits emit the first
-                // token).
-                if (anchor) {
-                    reuse = std::min(
-                        {anchor->length(), shared_len, prompt - 1});
-                }
-                std::size_t need =
-                    PagedKvCache::pages_for(prompt, ps) -
-                    PagedKvCache::pages_for(reuse, ps);
-                if (reuse % ps != 0) {
-                    need += 1;  // Copy-on-extend of the shared tail.
-                }
-                if (need > pool->allocator().free_pages()) {
-                    break;  // Never skip past a blocked head.
-                }
-            } else if (opts.cache_policy == CachePolicy::kSlabReserve) {
-                const std::size_t footprint =
-                    prompt +
-                    static_cast<std::size_t>(m.output_len) - 1;
-                if (opts.max_cache_tokens > 0 &&
-                    reserved_footprint + footprint >
-                        opts.max_cache_tokens) {
-                    break;
-                }
-                reserved_footprint += footprint;
-            } else {
-                if (opts.max_cache_tokens > 0 &&
-                    committed_cache + prompt > opts.max_cache_tokens) {
-                    break;
-                }
+            // Adopt as much of the anchored shared prefix as this
+            // prompt covers, always leaving >= 1 row to prefill (the
+            // completing chunk's logits emit the first token).
+            const std::size_t reuse =
+                anchor ? std::min({anchor->length(), shared_len,
+                                   prompt - 1})
+                       : 0;
+            std::size_t need = PagedKvCache::pages_for(prompt, ps) -
+                               PagedKvCache::pages_for(reuse, ps);
+            if (reuse % ps != 0) {
+                need += 1;  // Copy-on-extend of the shared tail.
+            }
+            if (need > pool->allocator().free_pages()) {
+                break;  // Never skip past a blocked head.
             }
             m.admitted_s = now;
             running.push_back({cand, prompt - reuse,
                                static_cast<std::size_t>(m.output_len),
                                reuse});
-            committed_cache += prompt;
-            if (paged) {
-                pcache[cand] = std::make_unique<PagedKvCache>(*pool);
-                if (reuse > 0) {
-                    pcache[cand]->adopt_prefix(*anchor, reuse);
-                    report.reused_prefix_tokens += reuse;
-                }
-                if (shared_len > 0 && producer == kNone) {
-                    producer = cand;
-                    anchor_target = std::min(shared_len, prompt);
-                }
+            pcache[cand] = std::make_unique<PagedKvCache>(*pool);
+            if (reuse > 0) {
+                pcache[cand]->adopt_prefix(*anchor, reuse);
+                report.reused_prefix_tokens += reuse;
+            }
+            if (shared_len > 0 && producer == kNone) {
+                producer = cand;
+                anchor_target = std::min(shared_len, prompt);
             }
             if (exec) {
                 exec_state[cand] = std::make_unique<ExecRequest>(
                     *opts.executor, *queue[cand], opts.exec_seed,
                     opts.shared_prefix_len);
-                if (!paged) {
-                    scache[cand] = std::make_unique<KvCache>(
-                        opts.executor->make_cache(opts.kv_format));
-                }
             }
             waiting.erase(waiting.begin());
         }
@@ -1097,9 +1024,9 @@ simulate_serving(const ModelConfig &model,
 
         // Schedule the step: one decode token per finished-prefill
         // request, leftover budget into prefill chunks (priority
-        // admission order). Under kPaged the plan must also fit the
-        // free pages: when it cannot, the EvictPolicy victim is
-        // preempted and the plan retried (a lone request always fits,
+        // admission order). The plan must also fit the free pages:
+        // when it cannot, the EvictPolicy victim is preempted and the
+        // plan retried (a lone request always fits,
         // enforced by the up-front budget validation).
         StepPlan plan = plan_step(pending_preempts);
 
@@ -1143,17 +1070,8 @@ simulate_serving(const ModelConfig &model,
                 m.finish_s = now;
                 ++report.failed;
                 ++pending_failed;
-                if (paged) {
-                    pcache[r.idx].reset();
-                } else {
-                    scache[r.idx].reset();
-                }
+                pcache[r.idx].reset();
                 exec_state[r.idx].reset();
-                if (opts.cache_policy == CachePolicy::kSlabReserve) {
-                    reserved_footprint -=
-                        static_cast<std::size_t>(m.prompt_len) +
-                        static_cast<std::size_t>(m.output_len) - 1;
-                }
                 running.erase(running.begin() +
                               static_cast<std::ptrdiff_t>(i));
                 removed = true;
@@ -1167,11 +1085,9 @@ simulate_serving(const ModelConfig &model,
             }
         }
         if (abandoned) {
-            // No attempt survived; the step never ran. Refresh the
-            // slab admission gate and reschedule with the freed
-            // capacity (pending event counters carry forward to the
-            // next recorded step).
-            committed_cache = 0;
+            // No attempt survived; the step never ran. Reschedule with
+            // the freed pages (pending event counters carry forward to
+            // the next recorded step).
             continue;
         }
 
@@ -1212,7 +1128,7 @@ simulate_serving(const ModelConfig &model,
             std::vector<std::size_t> decoding;
             for (const Running &r : running) {
                 if (r.remaining_prefill == 0) {
-                    batch.add(cache_of(r.idx));
+                    batch.add(*pcache[r.idx]);
                     in_tokens.push_back(exec_state[r.idx]->last_token);
                     decoding.push_back(r.idx);
                 }
@@ -1259,7 +1175,7 @@ simulate_serving(const ModelConfig &model,
                 // Intermediate (and re-prefill) chunks skip the
                 // O(vocab·d) logit head.
                 const std::vector<float> logits =
-                    opts.executor->prefill(cache_of(running[i].idx),
+                    opts.executor->prefill(*pcache[running[i].idx],
                                            toks, opts.exec_run, emits);
                 if (emits) {
                     const int tok = exec_pick_token(
@@ -1268,7 +1184,7 @@ simulate_serving(const ModelConfig &model,
                     m.tokens.push_back(tok);
                 }
             }
-        } else if (paged) {
+        } else {
             // Pricing-only: mirror the executed runs' cache calls on
             // the accounting pool, in the same order (decoders in
             // batch order, then chunks), so the allocator walks the
@@ -1323,7 +1239,7 @@ simulate_serving(const ModelConfig &model,
         // (before any release below — the producer may finish in this
         // very step). The anchor holds the pages alive for future
         // admissions; adopters extend them copy-on-extend.
-        if (paged && !anchor && producer != kNone &&
+        if (!anchor && producer != kNone &&
             pcache[producer] &&
             pcache[producer]->length() >= anchor_target) {
             anchor = std::make_unique<PagedKvCache>(*pool);
@@ -1334,18 +1250,8 @@ simulate_serving(const ModelConfig &model,
         // the pool / allocator).
         for (const Running &r : running) {
             if (r.remaining_prefill == 0 && r.remaining_output == 0) {
-                if (paged) {
-                    pcache[r.idx].reset();
-                } else {
-                    scache[r.idx].reset();
-                }
+                pcache[r.idx].reset();
                 exec_state[r.idx].reset();
-                if (opts.cache_policy == CachePolicy::kSlabReserve) {
-                    const RequestMetrics &m = report.requests[r.idx];
-                    reserved_footprint -=
-                        static_cast<std::size_t>(m.prompt_len) +
-                        static_cast<std::size_t>(m.output_len) - 1;
-                }
             }
         }
         running.erase(
@@ -1357,30 +1263,23 @@ simulate_serving(const ModelConfig &model,
             running.end());
 
         // KV occupancy after the step: resident rows of live caches
-        // (prompt progress + decode appends) plus the committed
-        // not-yet-prefilled prompt rows for the admission gate.
+        // (prompt progress + decode appends).
         std::size_t resident = 0;
-        std::size_t pending_prefill = 0;
         for (const Running &r : running) {
             resident += r.resident;
-            pending_prefill += r.remaining_prefill;
             // The counter-tracked occupancy is exactly the cache
             // length — scheduler state matches the substrate.
-            ANDA_DCHECK((!exec && !paged) ||
-                            cache_of(r.idx).length() == r.resident,
+            ANDA_DCHECK(pcache[r.idx]->length() == r.resident,
                         "scheduler occupancy diverged from the cache");
         }
         report.steps.back().cache_tokens = resident;
         report.peak_cache_tokens =
             std::max(report.peak_cache_tokens, resident);
-        committed_cache = resident + pending_prefill;
-        if (paged) {
-            const KvPageAllocator &alloc = pool->allocator();
-            report.steps.back().used_pages = alloc.used_pages();
-            report.steps.back().free_pages = alloc.free_pages();
-            report.peak_used_pages = std::max(report.peak_used_pages,
-                                              alloc.used_pages());
-        }
+        const KvPageAllocator &alloc = pool->allocator();
+        report.steps.back().used_pages = alloc.used_pages();
+        report.steps.back().free_pages = alloc.free_pages();
+        report.peak_used_pages =
+            std::max(report.peak_used_pages, alloc.used_pages());
     }
 
     // Trailing events (after the last recorded step — e.g. a final

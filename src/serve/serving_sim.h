@@ -22,25 +22,18 @@
 /// throughput, plus a per-step log so tests can replay and cross-check
 /// every cost and token-conservation invariant bit-for-bit.
 ///
-/// KV memory is managed under a per-run CachePolicy:
-///  * kSlabPrompt (default) — per-sequence contiguous slabs; admission
-///    gates on resident + prompt tokens against max_cache_tokens, so
-///    decode appends can overshoot the cap (a real deployment would
-///    OOM — the paged policy exists to fix exactly this).
-///  * kSlabReserve — slabs admitted against their full worst-case
-///    footprint (prompt + output - 1 rows), never overshooting but
-///    serializing under overload.
-///  * kPaged — fixed-size pages from a refcounted pool
-///    (llm/kv_pages.h): admission gates on the pages the prompt needs,
-///    requests past the page budget wait, and decode growth under
-///    overload preempts the most recently admitted request
-///    (PreemptPolicy: swap K/V rows out and back in, or drop them and
-///    recompute on readmission). With shared_prefix_len > 0, prompts
-///    share a common system-prefix and later admissions adopt the
-///    anchor copy of those K/V pages copy-on-extend instead of
-///    re-prefilling them. Preemption and sharing never change any
-///    emitted token: per-request sampler streams are
-///    schedule-independent and rebuilt prefixes are bit-identical.
+/// KV memory is a paged pool: fixed-size pages from a refcounted
+/// allocator (llm/kv_pages.h). Admission gates on the pages the prompt
+/// needs, requests past the page budget wait, and decode growth under
+/// overload preempts a resident request (EvictPolicy victim;
+/// PreemptPolicy: swap K/V rows out and back in, or drop them and
+/// recompute on readmission). With shared_prefix_len > 0, prompts
+/// share a common system prefix and later admissions adopt the anchor
+/// copy of those K/V pages copy-on-extend instead of re-prefilling
+/// them. Preemption and sharing never change any emitted token:
+/// per-request sampler streams are schedule-independent and rebuilt
+/// prefixes are bit-identical. Without an explicit budget the pool is
+/// sized so that it can never block (see ServingOptions::page_budget).
 ///
 /// The robustness layer turns the scheduler into an SLO-aware,
 /// fault-tolerant server. Requests carry a priority class and
@@ -63,9 +56,9 @@
 /// prefill per-sequence KV caches, every step runs one ragged
 /// Transformer::decode_step over the running batch, and the sampled
 /// tokens land in RequestMetrics::tokens. Execution never perturbs
-/// scheduling or pricing — in paged mode the pricing-only run drives
-/// an accounting-only page pool through the identical allocate /
-/// share / preempt sequence, so the step log (costs, tokens, pages,
+/// scheduling or pricing — the pricing-only run drives an
+/// accounting-only page pool through the identical allocate / share /
+/// preempt sequence, so the step log (costs, tokens, pages,
 /// preemptions) is bit-identical with and without an executor.
 
 #include <cstdint>
@@ -81,14 +74,13 @@
 
 namespace anda {
 
-/// KV-memory management policy of a serving run.
+/// KV-memory management policy of a serving run. The paged pool is the
+/// only policy; the type goes once no benchmark driver assigns it.
 enum class CachePolicy {
-    kSlabPrompt,   ///< Contiguous slabs, prompt-gated admission.
-    kSlabReserve,  ///< Contiguous slabs, worst-case-footprint admission.
-    kPaged,        ///< Paged pool with preemption and prefix reuse.
+    kPaged,  ///< Paged pool with preemption and prefix reuse.
 };
 
-/// What happens to a preempted request's KV rows (kPaged only).
+/// What happens to a preempted request's KV rows.
 enum class PreemptPolicy {
     kRecompute,  ///< Drop the pages; re-prefill prompt + generated
                  ///< rows on readmission (costs compute, no memory).
@@ -144,28 +136,25 @@ struct ServingOptions {
     /// Activation mantissas of the four FP-INT taps ({16,16,16,16}
     /// for FP16-activation systems).
     PrecisionTuple tuple{16, 16, 16, 16};
-    /// KV-cache occupancy cap [tokens] of the slab policies (0 =
-    /// off). kSlabPrompt: a request is admitted only when the
-    /// resident cached tokens plus its prompt fit (decode appends can
-    /// transiently exceed the cap). kSlabReserve: admission charges
-    /// the full prompt + output - 1 footprint, so the cap is never
-    /// exceeded. Ignored by kPaged (page_budget replaces it).
-    std::size_t max_cache_tokens = 0;
     /// KV layout and admission/preemption discipline.
-    CachePolicy cache_policy = CachePolicy::kSlabPrompt;
-    /// Rows per KV page (kPaged).
+    CachePolicy cache_policy = CachePolicy::kPaged;
+    /// Rows per KV page (must be > 0).
     std::size_t page_size = 16;
-    /// Physical pages in the pool (kPaged; must be > 0). Every
-    /// request must satisfy pages(prompt + output - 1) + pages(shared
-    /// prefix) + 1 <= page_budget or the run throws up front.
+    /// Physical pages in the pool. Every request must satisfy
+    /// pages(prompt + output - 1) + pages(shared prefix) + 1 <=
+    /// page_budget or the run throws up front. 0 with kv_byte_budget
+    /// also 0 (the default) sizes the pool so it never blocks:
+    /// max_batch x (pages(largest prompt + output - 1) + 1) + the
+    /// shared-prefix anchor's pages, so nothing ever waits for pages
+    /// or is preempted.
     std::size_t page_budget = 0;
-    /// Preemption discipline under page pressure (kPaged).
+    /// Preemption discipline under page pressure.
     PreemptPolicy preempt = PreemptPolicy::kRecompute;
     /// Tokens at the head of every prompt drawn from a shared stream
-    /// (a common system prompt). Shapes the synthetic prompts under
-    /// every policy; under kPaged later admissions additionally adopt
-    /// the already-computed K/V pages of the shared prefix instead of
-    /// re-prefilling them (reused_prefix_tokens in the report).
+    /// (a common system prompt). Shapes the synthetic prompts, and
+    /// later admissions adopt the already-computed K/V pages of the
+    /// shared prefix instead of re-prefilling them
+    /// (reused_prefix_tokens in the report).
     int shared_prefix_len = 0;
     /// Execution substrate (may be null = pricing only): when set,
     /// generation runs for real — prompts are synthesized from the
@@ -181,7 +170,7 @@ struct ServingOptions {
     /// Seed of the per-request prompt/sampling streams, so executed
     /// tokens are deterministic and independent of scheduling.
     std::uint64_t exec_seed = 0;
-    /// Victim selection under page pressure (kPaged). Admission is
+    /// Victim selection under page pressure. Admission is
     /// always priority-aware: among arrived waiting requests the
     /// highest Request::priority admits first (FCFS inside a class),
     /// so a high-priority arrival jumps the queue under any policy.
@@ -221,13 +210,12 @@ struct ServingOptions {
     /// bytes, and kv_byte_budget admits against the packed footprint
     /// — the capacity multiplier of docs/SERVING.md.
     KvFormat kv_format = KvFormat::fp32();
-    /// KV capacity as a physical byte budget (0 = off). Converts to
-    /// the policy's native cap at the run's kv_format width — slab
-    /// policies derive max_cache_tokens = budget / bytes-per-token
-    /// (2 x real n_layers x kv_row_bytes(kv_format, real d_model)),
-    /// kPaged derives page_budget = budget / page-bytes — so the same
-    /// byte budget holds ~4x more tokens under a 4x narrower format.
-    /// Mutually exclusive with setting the derived knob directly.
+    /// KV capacity as a physical byte budget (0 = off). Derives
+    /// page_budget = budget / (page_size x bytes-per-token), where
+    /// bytes-per-token = 2 x real n_layers x kv_row_bytes(kv_format,
+    /// real d_model) — so the same byte budget holds ~4x more tokens
+    /// under a 4x narrower format. Mutually exclusive with setting
+    /// page_budget directly.
     std::size_t kv_byte_budget = 0;
 };
 
@@ -291,9 +279,8 @@ struct ServingStep {
     /// freed). Identical in pricing-only and execution runs; in the
     /// latter it equals the summed cache length of live caches.
     std::size_t cache_tokens = 0;
-    /// Page-pool occupancy after the step (kPaged; used + free ==
-    /// page_budget always — the conservation invariant paging_smoke
-    /// replays). Zero under the slab policies.
+    /// Page-pool occupancy after the step (used + free == page_budget
+    /// always — the conservation invariant paging_smoke replays).
     std::size_t used_pages = 0;
     std::size_t free_pages = 0;
     /// Requests preempted while scheduling this step. Event counters
@@ -331,17 +318,18 @@ struct ServingReport {
     std::size_t total_output_tokens = 0;
     std::size_t peak_batch = 0;
     /// KV-row high-water mark of the run (the quantity a capacity
-    /// planner budgets against; under kSlabPrompt it can exceed
-    /// max_cache_tokens — the overshoot the paged policy eliminates).
-    /// Sampled after every step *and* after between-step row
-    /// materialization (swap-in restores, shared-prefix adoption), so
-    /// a transient that a same-round preemption undoes before the
-    /// step records still registers: peak_cache_tokens >= the maximum
-    /// of ServingStep::cache_tokens, not always equal under kPaged.
+    /// planner budgets against). Sampled after every step *and* after
+    /// between-step row materialization (swap-in restores,
+    /// shared-prefix adoption), so a transient that a same-round
+    /// preemption undoes before the step records still registers:
+    /// peak_cache_tokens >= the maximum of ServingStep::cache_tokens,
+    /// not always equal.
     std::size_t peak_cache_tokens = 0;
     /// True when the run executed generation (tokens are populated).
     bool executed = false;
-    /// Paged-policy accounting (all zero under the slab policies).
+    /// Page-pool accounting (page_budget is the resolved budget: the
+    /// explicit one, the kv_byte_budget-derived one, or the derived
+    /// never-blocking default).
     std::size_t page_size = 0;
     std::size_t page_budget = 0;
     std::size_t preemptions = 0;  ///< Total preemption events.
@@ -401,11 +389,11 @@ struct ServingReport {
     /// FNV-1a checksum over (id, generated tokens) of every request —
     /// the determinism fingerprint generation_smoke pins.
     std::uint64_t generated_checksum() const;
-    /// One-line human-readable summary for logs and CI artifacts
-    /// (gains a pages/preemptions segment under kPaged, a robustness
-    /// segment when drops / sheds / faults occurred, and a kv segment
-    /// when the run stores K/V in a quantized format — FP32 runs keep
-    /// the legacy string byte-for-byte).
+    /// One-line human-readable summary for logs and CI artifacts: run
+    /// totals and the page-pool segment, plus a robustness segment
+    /// when drops / sheds / faults occurred, swap / attention segments
+    /// when priced, and a kv segment when the run stores K/V in a
+    /// quantized format.
     std::string summary() const;
     /// Per-priority-class rollup, ascending priority. See ClassReport.
     std::vector<struct ClassReport> by_class() const;
@@ -479,7 +467,7 @@ Workload build_step_workload(const ModelConfig &model,
 /// not depend on scheduling. With shared_prefix_len > 0 the first
 /// min(shared_prefix_len, prompt_len) tokens (BOS included) come from
 /// a shared stream derived from the seed alone, identical across
-/// requests — the common system prompt the paged policy's prefix
+/// requests — the common system prompt the page pool's prefix
 /// reuse adopts. Exposed for replay tools.
 std::vector<int> exec_prompt_tokens(int vocab, int prompt_len,
                                     std::uint64_t seed, int id,
@@ -502,9 +490,9 @@ int exec_pick_token(std::span<const float> logits, double temperature,
 /// Simulates serving `requests` (any order; scheduled FCFS by arrival
 /// time) on one accelerator configuration. Deterministic in its
 /// arguments. Throws std::invalid_argument on an empty stream, zero
-/// batch/budget options, a request that cannot pass the configured
-/// admission gate (slab caps or page budget), or (execution mode) a
-/// request that cannot fit the executor's max_seq.
+/// batch/budget options, a zero page size, a request that cannot fit
+/// the page budget, or (execution mode) a request that cannot fit the
+/// executor's max_seq.
 ServingReport simulate_serving(const ModelConfig &model,
                                const AcceleratorConfig &system,
                                const TechParams &tech,

@@ -3,11 +3,15 @@
 /// @file
 /// Shared fixtures of the serving-layer tests (tests/test_serve.cpp)
 /// and smoke tools: one busy request stream, one tiny execution
-/// substrate that shares llama-7b's pricing dimensions, and the
-/// execution options that drive it. Kept header-only and gtest-free so
-/// both the gtest suites and the standalone tools/*_smoke binaries can
-/// include it.
+/// substrate that shares llama-7b's pricing dimensions, the execution
+/// options that drive it, and the standalone-regeneration token
+/// oracle. Kept header-only and gtest-free so both the gtest suites
+/// and the standalone tools/*_smoke binaries can include it.
 
+#include <span>
+#include <vector>
+
+#include "common/rng.h"
 #include "serve/serving_sim.h"
 
 namespace anda {
@@ -109,6 +113,39 @@ run_executed(const ServingOptions &opts, const RequestStreamSpec &spec)
     return simulate_serving(tiny_executor().config(),
                             find_system("anda"), tech16(),
                             generate_requests(spec), opts);
+}
+
+/// The token oracle of executed serving: request `r` regenerated
+/// outside the scheduler from its published prompt and sampler stream
+/// (exec_prompt_tokens / exec_sampler_seed, at opts' seed, shared
+/// prefix, temperature and formats) through the public prefill +
+/// decode_step API on a private slab KvCache. Generation is
+/// schedule-independent, so every scheduled run of `opts` on `tf` must
+/// emit exactly these tokens, whatever its batching, preemption or
+/// prefix reuse; it also cross-checks the scheduler's paged layout
+/// against the slab one.
+inline std::vector<int>
+standalone_tokens(const Transformer &tf, const Request &r,
+                  const ServingOptions &opts)
+{
+    const std::vector<int> prompt =
+        exec_prompt_tokens(tf.dims().vocab, r.prompt_len, opts.exec_seed,
+                           r.id, opts.shared_prefix_len);
+    SplitMix64 rng(exec_sampler_seed(opts.exec_seed, r.id));
+    KvCache cache = tf.make_cache(opts.kv_format);
+    BatchKvCache batch;
+    batch.add(cache);
+    std::vector<int> tokens = {
+        exec_pick_token(tf.prefill(cache, prompt, opts.exec_run),
+                        opts.exec_temperature, rng)};
+    while (static_cast<int>(tokens.size()) < r.output_len) {
+        const int tok = tokens.back();
+        const Matrix logits = tf.decode_step(
+            batch, std::span<const int>(&tok, 1), opts.exec_run);
+        tokens.push_back(exec_pick_token(logits.row(0),
+                                         opts.exec_temperature, rng));
+    }
+    return tokens;
 }
 
 }  // namespace serve_test

@@ -1,11 +1,12 @@
 // Tests of the serving layer: deterministic request streams, the
-// continuous-batching scheduler's invariants (admission caps, token
-// budgets, conservation, replayable step costs, KV occupancy), the
-// latency / throughput report, execution mode (real token generation
-// on the accuracy substrate without perturbing pricing), and the paged
-// KV policy (page-budget admission, preemption with swap or recompute,
-// prefix reuse) — all of which must leave every emitted token
-// bit-identical to the unpreempted slab run.
+// continuous-batching scheduler's invariants (token budgets,
+// conservation, replayable step costs, KV occupancy), the latency /
+// throughput report, execution mode (real token generation on the
+// accuracy substrate without perturbing pricing), and the paged KV
+// pool (page-budget admission, the derived never-blocking default
+// budget, preemption with swap or recompute, prefix reuse) — all of
+// which must leave every emitted token bit-identical to standalone
+// regeneration on a slab cache (serve_test::standalone_tokens).
 
 #include <gtest/gtest.h>
 
@@ -254,37 +255,6 @@ TEST_F(ServingSimTest, StepLogTracksCacheOccupancy)
     EXPECT_LE(report.peak_cache_tokens, bound);
 }
 
-TEST_F(ServingSimTest, CacheGateLimitsAdmission)
-{
-    ServingOptions open;
-    open.max_batch = 8;
-    open.max_step_tokens = 64;
-    RequestStreamSpec spec = small_spec();
-    spec.arrival_rate = 0.0;  // Burst: admission pressure is maximal.
-    const ServingReport free_run = run(open, spec);
-
-    ServingOptions gated = open;
-    gated.max_cache_tokens = 128;
-    const ServingReport gated_run = run(gated, spec);
-    // The gate holds requests back (here it binds: the open run peaks
-    // above the cap), so concurrency drops and the makespan stretches.
-    ASSERT_GT(free_run.peak_cache_tokens, gated.max_cache_tokens);
-    EXPECT_LT(gated_run.peak_batch, free_run.peak_batch);
-    EXPECT_GE(gated_run.makespan_s, free_run.makespan_s);
-    // Every request still finishes.
-    for (const auto &m : gated_run.requests) {
-        EXPECT_GT(m.finish_s, 0.0) << "id=" << m.id;
-    }
-    // A prompt that cannot ever pass the gate is rejected up front.
-    ServingOptions tiny_gate = open;
-    tiny_gate.max_cache_tokens = 2;
-    const auto requests = generate_requests(spec);
-    EXPECT_THROW(simulate_serving(find_model("llama-7b"),
-                                  find_system("anda"), tech16(),
-                                  requests, tiny_gate),
-                 std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------
 // Paged-policy scheduling (pricing-only).
 
@@ -299,13 +269,12 @@ paged_opts(std::size_t budget = 12)
     opts.max_batch = 8;
     opts.max_step_tokens = 64;
     opts.tuple = {8, 7, 7, 6};
-    opts.cache_policy = CachePolicy::kPaged;
     opts.page_size = 16;
     opts.page_budget = budget;
     return opts;
 }
 
-TEST_F(ServingSimTest, PagedOverloadCompletesWhereSlabRejects)
+TEST_F(ServingSimTest, PagedOverloadCompletesUnderBudget)
 {
     RequestStreamSpec spec = small_spec();
     spec.arrival_rate = 0.0;  // Burst: maximal page pressure.
@@ -342,40 +311,6 @@ TEST_F(ServingSimTest, PagedOverloadCompletesWhereSlabRejects)
               paged.total_prompt_tokens + paged.recomputed_tokens);
     EXPECT_EQ(decode,
               paged.total_output_tokens - paged.requests.size());
-
-    // The prompt-gated slab baseline given the same memory as a token
-    // cap overshoots it during decode (the OOM a real deployment
-    // hits); the reserving slab baseline rejects up front as soon as
-    // the cap dips below the largest worst-case footprint (96 + 24 -
-    // 1 = 119 rows) — granularity paging does not need.
-    ServingOptions slab;
-    slab.max_batch = 8;
-    slab.max_step_tokens = 64;
-    slab.tuple = {8, 7, 7, 6};
-    slab.max_cache_tokens = budget_rows;
-    const ServingReport overshoot = run(slab, spec);
-    EXPECT_GT(overshoot.peak_cache_tokens, budget_rows);
-
-    ServingOptions reserve = slab;
-    reserve.cache_policy = CachePolicy::kSlabReserve;
-    reserve.max_cache_tokens = 112;
-    EXPECT_THROW(run(reserve, spec), std::invalid_argument);
-}
-
-TEST_F(ServingSimTest, ReservingSlabNeverOvershoots)
-{
-    RequestStreamSpec spec = small_spec();
-    spec.arrival_rate = 0.0;
-    ServingOptions reserve;
-    reserve.max_batch = 8;
-    reserve.max_step_tokens = 64;
-    reserve.cache_policy = CachePolicy::kSlabReserve;
-    reserve.max_cache_tokens = 256;  // >= 96 + 24 - 1, so all admit.
-    const ServingReport report = run(reserve, spec);
-    EXPECT_LE(report.peak_cache_tokens, reserve.max_cache_tokens);
-    for (const auto &m : report.requests) {
-        EXPECT_GT(m.finish_s, 0.0) << "id=" << m.id;
-    }
 }
 
 TEST_F(ServingSimTest, PagedSchedulingIsDeterministic)
@@ -423,26 +358,40 @@ TEST_F(ServingSimTest, SwapPolicyAvoidsRecomputePrefill)
 
 TEST_F(ServingSimTest, PagedValidationRejectsBadBudgets)
 {
-    const auto requests = generate_requests(small_spec());
-    const auto &model = find_model("llama-7b");
-    const auto &system = find_system("anda");
-    // kPaged needs a page budget and a page size.
-    ServingOptions bad = paged_opts();
-    bad.page_budget = 0;
-    EXPECT_THROW(
-        simulate_serving(model, system, tech16(), requests, bad),
-        std::invalid_argument);
-    bad = paged_opts();
-    bad.page_size = 0;
-    EXPECT_THROW(
-        simulate_serving(model, system, tech16(), requests, bad),
-        std::invalid_argument);
     // A request whose footprint can never fit is rejected up front:
     // the largest request needs pages(96 + 24 - 1) + 1 = 9 pages.
-    bad = paged_opts(8);
-    EXPECT_THROW(
-        simulate_serving(model, system, tech16(), requests, bad),
-        std::invalid_argument);
+    EXPECT_THROW(run(paged_opts(8), small_spec()), std::invalid_argument);
+}
+
+TEST_F(ServingSimTest, DerivedPageBudgetNeverPreempts)
+{
+    // With neither page_budget nor kv_byte_budget set, the pool is
+    // sized so it never blocks: max_batch x (pages(largest
+    // footprint) + 1) pages. The burst then runs exactly as under an
+    // explicit budget that holds every request's worst case at once.
+    RequestStreamSpec spec = small_spec();
+    spec.arrival_rate = 0.0;
+    const ServingReport derived = run(paged_opts(0), spec);
+    const ServingReport roomy = run(paged_opts(24 * 9), spec);
+    EXPECT_EQ(derived.page_budget, 8u * (8 + 1));
+    EXPECT_EQ(derived.preemptions, 0u);
+    EXPECT_EQ(roomy.preemptions, 0u);
+    ASSERT_EQ(derived.steps.size(), roomy.steps.size());
+    for (std::size_t i = 0; i < derived.steps.size(); ++i) {
+        const ServingStep &x = derived.steps[i];
+        const ServingStep &y = roomy.steps[i];
+        EXPECT_EQ(x.start_s, y.start_s) << "step " << i;
+        EXPECT_EQ(x.cycles, y.cycles) << "step " << i;
+        EXPECT_EQ(x.prefill_tokens, y.prefill_tokens) << "step " << i;
+        EXPECT_EQ(x.decode_tokens, y.decode_tokens) << "step " << i;
+        EXPECT_EQ(x.used_pages + x.free_pages, derived.page_budget)
+            << "step " << i;
+    }
+    EXPECT_EQ(derived.makespan_s, roomy.makespan_s);
+    // Pages still need a size.
+    ServingOptions bad = paged_opts(0);
+    bad.page_size = 0;
+    EXPECT_THROW(run(bad, spec), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -541,48 +490,54 @@ TEST_F(ServingExecutionTest, RejectsRequestsBeyondExecutorMaxSeq)
 // single emitted token, and pricing-only paged runs must log the
 // identical allocate / preempt / readmit sequence.
 
-/// Exec options under the paged policy. The largest exec_spec request
-/// needs pages(40 + 16 - 1) + 1 = 8 pages of 8 rows; a tight budget
-/// leaves room for fewer full residents than max_batch = 4, forcing
-/// preemption, while a large budget never preempts.
+/// Exec options under an explicit page budget. The largest exec_spec
+/// request needs pages(40 + 16 - 1) + 1 = 8 pages of 8 rows; a tight
+/// budget leaves room for fewer full residents than max_batch = 4,
+/// forcing preemption, while a large budget never preempts.
 ServingOptions
 paged_exec_opts(std::size_t budget, PreemptPolicy policy)
 {
     ServingOptions opts = exec_opts();
-    opts.cache_policy = CachePolicy::kPaged;
     opts.page_size = 8;
     opts.page_budget = budget;
     opts.preempt = policy;
     return opts;
 }
 
+/// Every request of `report` (a run of `opts` over exec_spec())
+/// emitted exactly its standalone-regenerated tokens.
+void
+expect_standalone_tokens(const ServingReport &report,
+                         const ServingOptions &opts)
+{
+    const auto requests = generate_requests(exec_spec());
+    ASSERT_EQ(report.requests.size(), requests.size());
+    for (const Request &r : requests) {
+        EXPECT_EQ(report.requests[static_cast<std::size_t>(r.id)].tokens,
+                  serve_test::standalone_tokens(tiny_executor(), r, opts))
+            << "id=" << r.id;
+    }
+}
+
 TEST_F(ServingExecutionTest, PreemptionDoesNotChangeTokens)
 {
-    // Baseline: slab policy, no preemption possible.
-    const ServingReport slab = run(exec_opts());
-    // Ample pages: paged layout, still no preemption.
-    const ServingReport roomy =
-        run(paged_exec_opts(128, PreemptPolicy::kRecompute));
+    // Ample pages: no preemption; every token matches the standalone
+    // slab-cache regeneration.
+    const ServingOptions roomy_opts =
+        paged_exec_opts(128, PreemptPolicy::kRecompute);
+    const ServingReport roomy = run(roomy_opts);
     EXPECT_EQ(roomy.preemptions, 0u);
-    ASSERT_EQ(roomy.requests.size(), slab.requests.size());
-    for (std::size_t i = 0; i < slab.requests.size(); ++i) {
-        EXPECT_EQ(roomy.requests[i].tokens, slab.requests[i].tokens)
-            << "id=" << slab.requests[i].id;
-    }
+    expect_standalone_tokens(roomy, roomy_opts);
     // Tight pages: both preemption policies fire, yet every request's
-    // token stream is bit-identical to the unpreempted runs.
+    // token stream is still bit-identical to the standalone oracle.
     for (const PreemptPolicy policy :
          {PreemptPolicy::kRecompute, PreemptPolicy::kSwap}) {
-        const ServingReport tight = run(paged_exec_opts(12, policy));
+        const ServingOptions tight_opts = paged_exec_opts(12, policy);
+        const ServingReport tight = run(tight_opts);
         ASSERT_GE(tight.preemptions, 1u)
             << "budget too loose to exercise preemption";
         EXPECT_EQ(tight.readmits, tight.preemptions);
-        ASSERT_EQ(tight.requests.size(), slab.requests.size());
-        for (std::size_t i = 0; i < slab.requests.size(); ++i) {
-            EXPECT_EQ(tight.requests[i].tokens,
-                      slab.requests[i].tokens)
-                << "id=" << slab.requests[i].id;
-        }
+        expect_standalone_tokens(tight, tight_opts);
         if (policy == PreemptPolicy::kRecompute) {
             EXPECT_GT(tight.recomputed_tokens, 0u);
         } else {
@@ -628,22 +583,15 @@ TEST_F(ServingExecutionTest, PagedExecutionMatchesPricingStepLog)
 
 TEST_F(ServingExecutionTest, PrefixReuseSkipsPrefillWithoutTokenDrift)
 {
-    // A shared system prompt shapes the synthetic prompts under every
-    // policy, so slab and paged runs see identical requests; the
-    // paged run additionally adopts the anchor's K/V pages.
-    ServingOptions slab = exec_opts();
-    slab.shared_prefix_len = 12;
-    const ServingReport base = run(slab);
-
+    // A shared system prompt heads every synthetic prompt; later
+    // admissions adopt the anchor's K/V pages instead of prefilling
+    // them, yet emit exactly the tokens of a standalone regeneration
+    // that prefills the whole prompt into a slab cache.
     ServingOptions shared = paged_exec_opts(128, PreemptPolicy::kSwap);
     shared.shared_prefix_len = 12;
     const ServingReport reuse = run(shared);
     EXPECT_GT(reuse.reused_prefix_tokens, 0u);
-    ASSERT_EQ(reuse.requests.size(), base.requests.size());
-    for (std::size_t i = 0; i < base.requests.size(); ++i) {
-        EXPECT_EQ(reuse.requests[i].tokens, base.requests[i].tokens)
-            << "id=" << base.requests[i].id;
-    }
+    expect_standalone_tokens(reuse, shared);
     // Adopted rows are never prefilled: conservation picks them up.
     std::size_t prefill = 0;
     for (const auto &s : reuse.steps) {
@@ -851,7 +799,6 @@ TEST_F(ServingSimTest, EvictionPolicyPicksTheRightVictim)
     opts.max_batch = 3;
     opts.max_step_tokens = 16;
     opts.tuple = {8, 7, 7, 6};
-    opts.cache_policy = CachePolicy::kPaged;
     opts.page_size = 4;
     opts.page_budget = 5;
     const struct {

@@ -73,7 +73,6 @@ main()
         calm.max_batch = 4;
         calm.max_step_tokens = 24;
         calm.tuple = {8, 7, 7, 6};
-        calm.cache_policy = CachePolicy::kPaged;
         calm.page_size = 8;
         calm.page_budget = 11;  // Tight: forces preemption.
         calm.preempt = PreemptPolicy::kSwap;
@@ -172,7 +171,6 @@ main()
         opts.max_batch = 6;
         opts.max_step_tokens = 48;
         opts.tuple = {8, 7, 7, 6};
-        opts.cache_policy = CachePolicy::kPaged;
         opts.page_size = 16;
         opts.page_budget = 12;
         opts.preempt = PreemptPolicy::kSwap;

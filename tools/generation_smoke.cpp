@@ -9,23 +9,20 @@
 //    pricing-only run of the same stream: execution never perturbs
 //    scheduling;
 //  * standalone regeneration — every request, regenerated outside the
-//    scheduler from its published prompt/sampler seeds
-//    (exec_prompt_tokens / exec_sampler_seed) through the public
-//    prefill + decode_step API, must reproduce the scheduler's tokens
-//    bit for bit (generation is schedule-independent).
+//    scheduler by serve_test::standalone_tokens (published prompt and
+//    sampler seeds through the public prefill + decode_step API on a
+//    slab cache), must reproduce the scheduler's tokens bit for bit
+//    (generation is schedule-independent).
 // Registered as the `generation_smoke` ctest so the incremental-decode
 // path runs under the sanitizer CI lane; writes
 // generation_smoke_summary.txt (uploaded as a CI artifact).
 
 #include <cstdio>
 #include <fstream>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "llm/transformer.h"
-#include "serve/serving_sim.h"
+#include "../tests/serve_test_util.h"
 
 namespace {
 
@@ -133,28 +130,12 @@ main()
 
     // --- Standalone regeneration through the public decode API. ---
     for (const Request &r : requests) {
-        const std::vector<int> prompt = exec_prompt_tokens(
-            tiny.sim.vocab, r.prompt_len, opts.exec_seed, r.id);
-        SplitMix64 rng(exec_sampler_seed(opts.exec_seed, r.id));
-        KvCache cache = tf.make_cache();
-        BatchKvCache batch;
-        batch.add(cache);
-        std::vector<int> tokens;
-        const std::vector<float> first =
-            tf.prefill(cache, prompt, opts.exec_run);
-        tokens.push_back(
-            exec_pick_token(first, opts.exec_temperature, rng));
-        while (static_cast<int>(tokens.size()) < r.output_len) {
-            const int tok = tokens.back();
-            const Matrix logits = tf.decode_step(
-                batch, std::span<const int>(&tok, 1), opts.exec_run);
-            tokens.push_back(exec_pick_token(
-                logits.row(0), opts.exec_temperature, rng));
-        }
-        const RequestMetrics &m = report.requests[static_cast<std::size_t>(r.id)];
+        const RequestMetrics &m =
+            report.requests[static_cast<std::size_t>(r.id)];
         if (m.id != r.id) {
             fail("request metrics are not in id order");
-        } else if (m.tokens != tokens) {
+        } else if (m.tokens !=
+                   serve_test::standalone_tokens(tf, r, opts)) {
             fail("request " + std::to_string(r.id) +
                  " scheduler tokens differ from standalone "
                  "regeneration");

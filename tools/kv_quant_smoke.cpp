@@ -84,7 +84,6 @@ main()
     // --- Capacity: same byte budget, paged overload. ---
     const std::size_t budget = std::size_t{512} << 20;  // 512 MiB.
     ServingOptions paged_fp32 = base_opts;
-    paged_fp32.cache_policy = CachePolicy::kPaged;
     paged_fp32.page_size = 16;
     paged_fp32.kv_byte_budget = budget;
     paged_fp32.max_batch = 64;

@@ -71,7 +71,6 @@ main()
     base.max_batch = 4;
     base.max_step_tokens = 24;
     base.tuple = {8, 7, 7, 6};
-    base.cache_policy = CachePolicy::kPaged;
     base.page_size = 8;
     base.shared_prefix_len = 6;
     base.executor = &tf;
