@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the format conversion and
 // GeMM kernels — the software cost of the operations the Anda hardware
-// accelerates — plus the KV unpack and attention kernels of decode.
+// accelerates — plus the KV unpack and attention kernels of decode, and
+// the hw model's pricing of one serving decode step.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "format/compressor.h"
 #include "format/kv_format.h"
+#include "hw/workload.h"
 #include "kernels/gemm.h"
 #include "llm/ops.h"
 
@@ -220,6 +222,27 @@ BM_CausalAttentionHead(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kv_len);
 }
 BENCHMARK(BM_CausalAttentionHead)->Arg(64)->Arg(512)->Arg(1024);
+
+// The hw model prices one llama-7b decode step on the Anda system: the
+// four FP-INT taps of every layer over 8 fused rows plus one attention
+// pass per sequence (contexts 256..2048). The workload is built once;
+// only the pricing is timed.
+void
+BM_PriceDecodeStep(benchmark::State &state)
+{
+    std::vector<SeqSlice> slices;
+    for (std::uint64_t s = 1; s <= 8; ++s) {
+        slices.push_back({1, 256 * s});
+    }
+    const Workload wl = build_decode_workload(
+        find_model("llama-7b"), slices, {8, 7, 7, 6});
+    const AcceleratorConfig &system = find_system("anda");
+    for (auto _ : state) {
+        const SystemRun run = run_workload(system, tech16(), wl);
+        benchmark::DoNotOptimize(run.cycles);
+    }
+}
+BENCHMARK(BM_PriceDecodeStep);
 
 }  // namespace
 

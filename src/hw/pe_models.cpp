@@ -138,10 +138,9 @@ anda_unit()
     return g;
 }
 
-}  // namespace
-
+/// Builds the inventory of one 64-MAC/cycle unit of the given type.
 GateBudget
-pe_gate_budget(PeType type)
+build_pe_gate_budget(PeType type)
 {
     switch (type) {
     case PeType::kFpFp:
@@ -163,7 +162,7 @@ pe_gate_budget(PeType type)
 }
 
 GateBudget
-bpc_lane_budget()
+build_bpc_lane_budget()
 {
     GateBudget g;
     g += max_tree(64, 5);                     // Max exponent catcher.
@@ -175,7 +174,7 @@ bpc_lane_budget()
 }
 
 GateBudget
-vector_lane_budget()
+build_vector_lane_budget()
 {
     // One FP16 multiply-add-compare lane with LUT-based nonlinearity.
     GateBudget g;
@@ -186,10 +185,42 @@ vector_lane_budget()
     return g;
 }
 
+}  // namespace
+
+const GateBudget &
+pe_gate_budget(PeType type)
+{
+    // Built once, indexed by the enum value.
+    static const std::vector<GateBudget> table = [] {
+        std::vector<GateBudget> t(all_pe_types().size());
+        for (PeType pe : all_pe_types()) {
+            t[static_cast<std::size_t>(pe)] = build_pe_gate_budget(pe);
+        }
+        return t;
+    }();
+    const auto i = static_cast<std::size_t>(type);
+    ANDA_CHECK(i < table.size(), "unknown PE type");
+    return table[i];
+}
+
+const GateBudget &
+bpc_lane_budget()
+{
+    static const GateBudget g = build_bpc_lane_budget();
+    return g;
+}
+
+const GateBudget &
+vector_lane_budget()
+{
+    static const GateBudget g = build_vector_lane_budget();
+    return g;
+}
+
 PeMetrics
 pe_metrics(PeType type, const TechParams &tech)
 {
-    const GateBudget g = pe_gate_budget(type);
+    const GateBudget &g = pe_gate_budget(type);
     PeMetrics m;
     m.area_mm2 = g.nand2() * tech.nand2_um2 * 1e-6;
     const double dynamic_mw =

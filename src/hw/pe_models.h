@@ -34,14 +34,16 @@ struct PeMetrics {
     double power_mw = 0.0;
 };
 
+// The gate inventories below are constants, each built once on first
+// use (thread-safe static initialisation) and returned by reference.
 /// Gate inventory of one 64-MAC/cycle unit of the given type.
-GateBudget pe_gate_budget(PeType type);
+const GateBudget &pe_gate_budget(PeType type);
 
 /// Gate inventory of one BPC lane (64 values, serial emission).
-GateBudget bpc_lane_budget();
+const GateBudget &bpc_lane_budget();
 
 /// Gate inventory of one FP16 vector-unit lane (non-linear functions).
-GateBudget vector_lane_budget();
+const GateBudget &vector_lane_budget();
 
 /// Area/power of one 64-MAC/cycle unit under the technology params.
 PeMetrics pe_metrics(PeType type, const TechParams &tech = tech16());

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -62,6 +64,21 @@ struct ExecRequest {
     /// preserved across preemptions).
     int last_token = 0;
 };
+
+/// Attention passes of one ragged step, in the order run_workload
+/// prices them: decode slices, then prefill chunks.
+std::vector<AttnOp>
+step_attn_ops(const ModelConfig &model, std::span<const SeqSlice> prefill,
+              std::span<const SeqSlice> decode, double kv_bits_per_elem)
+{
+    std::vector<AttnOp> ops =
+        build_attn_ops(model, decode, true, kv_bits_per_elem);
+    std::vector<AttnOp> pre =
+        build_attn_ops(model, prefill, false, kv_bits_per_elem);
+    ops.insert(ops.end(), std::make_move_iterator(pre.begin()),
+               std::make_move_iterator(pre.end()));
+    return ops;
+}
 
 }  // namespace
 
@@ -390,12 +407,7 @@ build_step_workload(const ModelConfig &model,
     // at the KV cache's storage width.
     wl.gemms =
         build_step_workload(model, prefill_tokens, decode_tokens, tuple);
-    wl.attns = build_attn_ops(model, decode, true, kv_bits_per_elem);
-    std::vector<AttnOp> pre =
-        build_attn_ops(model, prefill, false, kv_bits_per_elem);
-    wl.attns.insert(wl.attns.end(),
-                    std::make_move_iterator(pre.begin()),
-                    std::make_move_iterator(pre.end()));
+    wl.attns = step_attn_ops(model, prefill, decode, kv_bits_per_elem);
     return wl;
 }
 
@@ -516,6 +528,22 @@ simulate_serving(const ModelConfig &model,
             static_cast<std::size_t>(m.output_len);
     }
 
+    // GeMM-tap cost of a fused step, memoized per (phase, fused rows)
+    // for this call: with the model, system and tuple fixed, the taps
+    // depend on nothing else, so each shape is priced once.
+    std::map<std::pair<bool, std::size_t>, SystemRun> tap_memo;
+    const auto tap_cost = [&](std::size_t prefill,
+                              std::size_t decode) -> const SystemRun & {
+        const auto [it, fresh] =
+            tap_memo.try_emplace({prefill > 0, prefill + decode});
+        if (fresh) {
+            it->second = run_workload(
+                system, tech,
+                build_step_workload(model, prefill, decode, opts.tuple));
+        }
+        return it->second;
+    };
+
     // Cheapest possible step (one decode token): the provable
     // per-emitted-token lower bound kDropUnmeetable tests against.
     // Deliberately GeMM-only even under attn_pricing — attention only
@@ -524,10 +552,7 @@ simulate_serving(const ModelConfig &model,
     // model's.
     double min_step_s = 0.0;
     if (opts.deadline_policy == DeadlinePolicy::kDropUnmeetable) {
-        min_step_s =
-            run_workload(system, tech,
-                         build_step_workload(model, 0, 1, opts.tuple))
-                .seconds(tech);
+        min_step_s = tap_cost(0, 1).seconds(tech);
     }
     // Priced bytes of one swapped KV row: K and V at the cache
     // format's packed width, real dims (the same dims the GeMM taps
@@ -828,11 +853,10 @@ simulate_serving(const ModelConfig &model,
     // legacy GeMM-only aggregate is priced bit-identically to the
     // pre-attention model.
     const auto price_step = [&](const StepPlan &plan) {
+        const SystemRun &taps =
+            tap_cost(plan.prefill_tokens, plan.decode_tokens);
         if (!opts.attn_pricing) {
-            return run_workload(
-                system, tech,
-                build_step_workload(model, plan.prefill_tokens,
-                                    plan.decode_tokens, opts.tuple));
+            return taps;
         }
         std::vector<SeqSlice> prefill;
         std::vector<SeqSlice> decode;
@@ -847,10 +871,22 @@ simulate_serving(const ModelConfig &model,
                      static_cast<std::uint64_t>(r.resident)});
             }
         }
-        return run_workload(
-            system, tech,
-            build_step_workload(model, prefill, decode, opts.tuple,
-                                opts.kv_format.bits_per_element()));
+        // Attention priced per step on top of the memoized taps:
+        // cycles, attn_cycles and kv_dram_bits equal run_workload of
+        // the full step workload bit for bit (the taps carry no KV
+        // bits). The energies agree up to summation order; no step
+        // field reads them.
+        Workload attn;
+        attn.attns = step_attn_ops(model, prefill, decode,
+                                   opts.kv_format.bits_per_element());
+        SystemRun run = run_workload(system, tech, attn);
+        run.cycles += taps.cycles;
+        run.compute_energy_pj += taps.compute_energy_pj;
+        run.bpc_energy_pj += taps.bpc_energy_pj;
+        run.act_sram_energy_pj += taps.act_sram_energy_pj;
+        run.wgt_sram_energy_pj += taps.wgt_sram_energy_pj;
+        run.dram_energy_pj += taps.dram_energy_pj;
+        return run;
     };
 
     while (next < queue.size() || !waiting.empty() ||

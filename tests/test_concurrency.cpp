@@ -1,14 +1,16 @@
 // Concurrency stress tests, written for the ThreadSanitizer lane
 // (cmake --preset tsan) but run in every lane. Each test drives one of
 // the concurrency surfaces the serving stack depends on — the
-// persistent parallel_for pool, ModelRegistry's shared-future
-// deduplication, ResultCache's memo table, and the SweepScheduler
-// fan-out — from multiple racing threads, so TSan can observe the
-// synchronization (or its absence) under contention.
+// built-once PE gate tables, the persistent parallel_for pool,
+// ModelRegistry's shared-future deduplication, ResultCache's memo
+// table, and the SweepScheduler fan-out — from multiple racing
+// threads, so TSan can observe the synchronization (or its absence)
+// under contention.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/result_cache.h"
+#include "hw/perf_model.h"
 #include "search/sweep.h"
 
 namespace anda {
@@ -40,6 +43,49 @@ tiny_model(const std::string &name, std::uint64_t seed)
     cfg.sim.vocab = 64;
     cfg.sim.max_seq = 16;
     return cfg;
+}
+
+// Every priced number of one system: all members are 8 bytes wide, so
+// the struct has no padding and compares with memcmp.
+struct PricedSystem {
+    PeMetrics pe;
+    double mxu_mw = 0.0;
+    double area_mm2 = 0.0;
+    GemmCost gemm;
+};
+
+PricedSystem
+price_system(const AcceleratorConfig &cfg)
+{
+    PricedSystem p;
+    p.pe = pe_metrics(cfg.pe, tech16());
+    p.mxu_mw = mxu_power_mw(cfg, tech16());
+    p.area_mm2 = system_area_mm2(cfg, tech16());
+    p.gemm = analyze_gemm(cfg, tech16(), {16, 4096, 4096}, 7);
+    return p;
+}
+
+// The first pricing calls of the process race on the built-once gate
+// tables (pe_gate_budget, bpc_lane_budget, vector_lane_budget): all
+// seven PE types, several workers per type. Defined first so a
+// whole-binary run also starts with the tables unbuilt. Every result
+// must equal, byte for byte, the same calls made serially afterwards.
+TEST(Concurrency, GateTableFirstUseIsExact)
+{
+    const std::vector<AcceleratorConfig> &systems = system_configs();
+    ASSERT_EQ(systems.size(), all_pe_types().size());
+    constexpr std::size_t kRepeats = 8;
+    const std::size_t n = systems.size() * kRepeats;
+    std::vector<PricedSystem> racing(n);
+    parallel_for(0, n, [&](std::size_t i) {
+        racing[i] = price_system(systems[i % systems.size()]);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+        const PricedSystem serial =
+            price_system(systems[i % systems.size()]);
+        EXPECT_EQ(std::memcmp(&racing[i], &serial, sizeof serial), 0)
+            << systems[i % systems.size()].name << " index " << i;
+    }
 }
 
 // Several external threads each submit top-level parallel_for regions

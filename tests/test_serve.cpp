@@ -1124,6 +1124,96 @@ TEST_F(ServingSimTest, AttnPricingAddsContextCostOnTopOfGemmTaps)
     EXPECT_NE(b.summary().find("attn"), std::string::npos);
 }
 
+TEST_F(ServingSimTest, SeededKnobSpacePricingParity)
+{
+    // simulate_serving prices each fused tap shape once per call and
+    // attention per step. Over seeded draws of the scheduling knobs —
+    // tight byte budgets (preemption, swaps), step faults (retries
+    // reprice), drop deadlines (the min-step bound) — every logged
+    // step's tap share must equal a fresh, unshared reprice of its
+    // shape. The two systems alternate, so a memo leaking across
+    // calls would misprice the next draw.
+    const auto &model = find_model("llama-7b");
+    const auto d_model = static_cast<std::size_t>(model.real.d_model);
+    const auto n_layers = static_cast<std::size_t>(model.real.n_layers);
+    const std::vector<KvFormat> formats = {
+        KvFormat::fp32(), KvFormat::anda(4), KvFormat::anda(7)};
+    const std::vector<PrecisionTuple> tuples = {
+        {8, 7, 7, 6}, {16, 16, 16, 16}, {5, 4, 6, 4}};
+    const std::vector<std::size_t> page_sizes = {8, 16, 32};
+    SplitMix64 rng(2026);
+    std::size_t preempted = 0;
+    std::size_t faulted = 0;
+    std::size_t attn_on = 0;
+    for (int draw = 0; draw < 20; ++draw) {
+        const std::string system = draw % 2 == 0 ? "anda" : "fp-fp";
+        ServingOptions opts;
+        opts.max_batch = 1 + rng.uniform_index(8);
+        opts.max_step_tokens = 8 + rng.uniform_index(96);
+        opts.tuple = tuples[rng.uniform_index(tuples.size())];
+        opts.kv_format = formats[rng.uniform_index(formats.size())];
+        opts.attn_pricing = rng.uniform_index(2) == 1;
+        opts.page_size = page_sizes[rng.uniform_index(page_sizes.size())];
+        opts.preempt = rng.uniform_index(2) == 1 ? PreemptPolicy::kSwap
+                                                 : PreemptPolicy::kRecompute;
+        if (rng.uniform_index(2) == 1) {
+            opts.faults.seed = static_cast<std::uint64_t>(draw);
+            opts.faults.step_fail_prob = 0.3;
+            opts.faults.swap_fail_prob = 0.3;
+        }
+        RequestStreamSpec spec =
+            rng.uniform_index(2) == 1 ? classed_spec() : small_spec();
+        spec.seed = 4242 + static_cast<std::uint64_t>(draw);
+        if (rng.uniform_index(2) == 1) {
+            spec.arrival_rate = 0.0;
+        }
+        opts.deadline_policy = rng.uniform_index(2) == 1
+                                   ? DeadlinePolicy::kDropUnmeetable
+                                   : DeadlinePolicy::kNone;
+        const auto requests = generate_requests(spec);
+        // Tight byte budget: one worst-case request plus its
+        // copy-on-extend page, plus up to as many pages again.
+        std::size_t max_rows = 0;
+        for (const Request &r : requests) {
+            max_rows = std::max(
+                max_rows, static_cast<std::size_t>(r.prompt_len +
+                                                   r.output_len - 1));
+        }
+        const std::size_t ps = opts.page_size;
+        const std::size_t need = (max_rows + ps - 1) / ps + 1;
+        const std::size_t token_bytes =
+            2 * n_layers * kv_row_bytes(opts.kv_format, d_model);
+        opts.kv_byte_budget =
+            (need + rng.uniform_index(need)) * ps * token_bytes;
+
+        const ServingReport report = simulate_serving(
+            model, find_system(system), tech16(), requests, opts);
+        ASSERT_FALSE(report.steps.empty()) << "draw " << draw;
+        for (std::size_t i = 0; i < report.steps.size(); ++i) {
+            const ServingStep &s = report.steps[i];
+            const SystemRun fresh = run_workload(
+                find_system(system), tech16(),
+                build_step_workload(model, s.prefill_tokens,
+                                    s.decode_tokens, opts.tuple));
+            ASSERT_GE(s.cycles, s.attn_cycles);
+            EXPECT_EQ(s.cycles - s.attn_cycles, fresh.cycles)
+                << "draw " << draw << " step " << i;
+            if (!opts.attn_pricing) {
+                EXPECT_EQ(s.attn_cycles, 0u)
+                    << "draw " << draw << " step " << i;
+            }
+        }
+        preempted += report.preemptions > 0 ? 1 : 0;
+        faulted += report.step_faults > 0 ? 1 : 0;
+        attn_on += opts.attn_pricing ? 1 : 0;
+    }
+    // The draws must reach the paths they are meant to cover.
+    EXPECT_GT(preempted, 0u);
+    EXPECT_GT(faulted, 0u);
+    EXPECT_GT(attn_on, 0u);
+    EXPECT_LT(attn_on, 20u);
+}
+
 TEST_F(ServingSimTest, KvTrafficMatchesHandComputedTrace)
 {
     // Two burst requests, generous budgets: the schedule is exactly
