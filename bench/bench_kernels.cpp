@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the format conversion and
-// GeMM kernels — the software cost of the operations the Anda hardware
-// accelerates — plus the KV unpack and attention kernels of decode, and
-// the hw model's pricing of one serving decode step.
+// GeMM kernels (the float tap GeMM included) — the software cost of
+// the operations the Anda hardware accelerates — plus the KV unpack
+// and attention kernels of decode, and the hw model's pricing of one
+// serving decode step.
 
 #include <benchmark/benchmark.h>
 
@@ -99,6 +100,32 @@ BENCHMARK(BM_BpcCompressLane);
 // the persistent-pool scaling). Timing a kernel that silently grabs
 // every core produces machine-dependent noise, so neither variant
 // leaves the thread count implicit.
+
+// The float tap GeMM against weights packed once (as the transformer
+// holds them), at the sim-dims shapes of a decode step (16 x 384 x 128),
+// a prefill down-projection (64 x 128 x 384) and an evaluation pass
+// (256 x 384 x 128), as tokens x outputs x reduction.
+void
+BM_MatmulWt(benchmark::State &state)
+{
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto n = static_cast<std::size_t>(state.range(1));
+    const auto k = static_cast<std::size_t>(state.range(2));
+    const Matrix a = random_matrix(m, k, 7);
+    const WeightPanels w(random_matrix(n, k, 8));
+    for (auto _ : state) {
+        Matrix c = matmul_wt(a, w, /*threads=*/1);
+        benchmark::DoNotOptimize(c.data());
+    }
+    state.counters["GFLOP/s"] = benchmark::Counter(
+        2.0 * static_cast<double>(m * n * k) *
+            static_cast<double>(state.iterations()) * 1e-9,
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MatmulWt)
+    ->Args({16, 384, 128})
+    ->Args({64, 128, 384})
+    ->Args({256, 384, 128});
 
 void
 BM_GemmFp16Dequant(benchmark::State &state)

@@ -1,116 +1,87 @@
 #include "common/fp16.h"
 
-#include <bit>
 #include <cstring>
+
+#include "common/check.h"
 
 namespace anda {
 
 namespace {
 
-/// Reinterprets a float as its bit pattern.
-inline std::uint32_t bits_of(float f)
+template <class F, class U>
+[[gnu::always_inline]] inline void
+fp16_round_vector(F &f)
 {
-    return std::bit_cast<std::uint32_t>(f);
+    U h;
+    fp16_encode_bits(f, h);
+    fp16_decode_bits(h, f);
 }
 
-inline float float_of(std::uint32_t b)
+// fp16_round over whole vectors of lanes; a short tail runs through a
+// zero-padded vector.
+template <class F, class U>
+[[gnu::always_inline]] inline void
+fp16_round_lanes(const float *in, float *out, std::size_t n)
 {
-    return std::bit_cast<float>(b);
+    constexpr std::size_t kLanes = sizeof(F) / sizeof(float);
+    std::size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        F f;
+        std::memcpy(&f, in + i, sizeof f);
+        fp16_round_vector<F, U>(f);
+        std::memcpy(out + i, &f, sizeof f);
+    }
+    if (i < n) {
+        F f = {};
+        std::memcpy(&f, in + i, (n - i) * sizeof(float));
+        fp16_round_vector<F, U>(f);
+        std::memcpy(out + i, &f, (n - i) * sizeof(float));
+    }
 }
+
+#if ANDA_SIMD_X86
+ANDA_TARGET_AVX512F void
+fp16_round_avx512f(const float *in, float *out, std::size_t n)
+{
+    fp16_round_lanes<simd::f32x16, simd::u32x16>(in, out, n);
+}
+
+ANDA_TARGET_AVX2 void
+fp16_round_avx2(const float *in, float *out, std::size_t n)
+{
+    fp16_round_lanes<simd::f32x8, simd::u32x8>(in, out, n);
+}
+#endif
+
+void
+fp16_round_baseline(const float *in, float *out, std::size_t n)
+{
+    fp16_round_lanes<simd::f32x4, simd::u32x4>(in, out, n);
+}
+
+constexpr simd::Variant<detail::Fp16RoundFn> kFp16RoundVariants[] = {
+#if ANDA_SIMD_X86
+    {simd::Isa::kAvx512f, fp16_round_avx512f},
+    {simd::Isa::kAvx2, fp16_round_avx2},
+#endif
+    {simd::Isa::kBaseline, fp16_round_baseline},
+};
 
 }  // namespace
 
-std::uint16_t
-Fp16::from_float_bits(float value)
+std::span<const simd::Variant<detail::Fp16RoundFn>>
+detail::fp16_round_variants()
 {
-    const std::uint32_t f = bits_of(value);
-    const std::uint32_t sign = (f >> 16) & 0x8000u;
-    const std::int32_t exp32 = static_cast<std::int32_t>((f >> 23) & 0xff);
-    std::uint32_t mant32 = f & 0x7fffffu;
-
-    if (exp32 == 0xff) {
-        // Inf or NaN. Preserve NaN-ness with a quiet mantissa bit.
-        if (mant32 != 0) {
-            return static_cast<std::uint16_t>(sign | 0x7e00u);
-        }
-        return static_cast<std::uint16_t>(sign | 0x7c00u);
-    }
-
-    // Unbiased exponent, re-biased for FP16.
-    std::int32_t exp16 = exp32 - 127 + kBias;
-
-    if (exp16 >= 0x1f) {
-        // Overflow: round-to-nearest maps large values to infinity.
-        return static_cast<std::uint16_t>(sign | 0x7c00u);
-    }
-
-    if (exp16 <= 0) {
-        // Subnormal or zero. The significand (with hidden bit when the
-        // source is normal) must be shifted right by (1 - exp16) extra
-        // positions on top of the 13-bit narrowing shift.
-        if (exp16 < -10) {
-            return static_cast<std::uint16_t>(sign);  // Rounds to +-0.
-        }
-        std::uint32_t sig = mant32 | (exp32 == 0 ? 0u : 0x800000u);
-        const int shift = 13 + (1 - exp16);
-        const std::uint32_t kept = sig >> shift;
-        const std::uint32_t round_bit = (sig >> (shift - 1)) & 1u;
-        const std::uint32_t sticky =
-            (sig & ((1u << (shift - 1)) - 1u)) != 0 ? 1u : 0u;
-        std::uint32_t out = kept;
-        if (round_bit && (sticky || (kept & 1u))) {
-            ++out;  // May carry into the exponent field: that is correct.
-        }
-        return static_cast<std::uint16_t>(sign | out);
-    }
-
-    // Normal range: narrow the 23-bit mantissa to 10 bits with RNE.
-    const std::uint32_t kept = mant32 >> 13;
-    const std::uint32_t round_bit = (mant32 >> 12) & 1u;
-    const std::uint32_t sticky = (mant32 & 0xfffu) != 0 ? 1u : 0u;
-    std::uint32_t out =
-        (static_cast<std::uint32_t>(exp16) << 10) | kept;
-    if (round_bit && (sticky || (kept & 1u))) {
-        ++out;  // Carry may bump the exponent (possibly to infinity).
-    }
-    return static_cast<std::uint16_t>(sign | out);
+    return kFp16RoundVariants;
 }
 
-float
-Fp16::to_float() const
+void
+fp16_round(std::span<const float> in, std::span<float> out)
 {
-    const std::uint32_t sign = static_cast<std::uint32_t>(bits_ & 0x8000u)
-                               << 16;
-    const int exp16 = biased_exponent();
-    const std::uint32_t mant = static_cast<std::uint32_t>(mantissa_field());
-
-    if (exp16 == 0) {
-        if (mant == 0) {
-            return float_of(sign);  // Signed zero.
-        }
-        // Subnormal: value = mant * 2^-24. Normalize into float32.
-        int e = 0;
-        std::uint32_t m = mant;
-        while ((m & 0x400u) == 0) {
-            m <<= 1;
-            --e;
-        }
-        m &= 0x3ffu;
-        const std::uint32_t exp32 =
-            static_cast<std::uint32_t>(e + 1 - kBias + 127);
-        return float_of(sign | (exp32 << 23) | (m << 13));
-    }
-    if (exp16 == 0x1f) {
-        return float_of(sign | 0x7f800000u | (mant << 13));
-    }
-    const std::uint32_t exp32 = static_cast<std::uint32_t>(exp16 - kBias + 127);
-    return float_of(sign | (exp32 << 23) | (mant << 13));
-}
-
-float
-fp16_round(float value)
-{
-    return Fp16(value).to_float();
+    ANDA_CHECK_EQ(in.size(), out.size(), "fp16_round spans must match");
+    static detail::Fp16RoundFn *const run =
+        simd::widest_supported(detail::fp16_round_variants());
+    run(in.data(), out.data(), in.size());
 }
 
 }  // namespace anda

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -61,6 +62,14 @@ class Matrix {
     std::span<const float> flat() const
     {
         return {data_.data(), data_.size()};
+    }
+
+    /// Moves the row-major storage out, leaving an empty matrix.
+    std::vector<float> release()
+    {
+        rows_ = 0;
+        cols_ = 0;
+        return std::move(data_);
     }
 
     /// Fills every element with a constant.

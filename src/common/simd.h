@@ -1,0 +1,78 @@
+#pragma once
+
+/// @file
+/// Vector ISA levels, the GCC/Clang `vector_size` types the hot kernels
+/// are written over, and the once-per-process choice between them.
+///
+/// A vectorized kernel is one template over these types. Each ISA level
+/// instantiates it inside a function that carries that level's
+/// `target(...)` attribute, and the instantiations are listed widest
+/// first in a `Variant` table owned by the kernel's module. The process
+/// runs the first entry the CPU supports (`widest_supported`, decided
+/// by `__builtin_cpu_supports`); tests iterate the whole table.
+///
+/// Every instantiation is bit-identical to the scalar oracle it
+/// replaces: it performs the same IEEE operations in the same order,
+/// only on more lanes at a time. The build passes `-ffp-contract=off`
+/// so a wider target cannot fuse a*b+c into one FMA rounding.
+///
+/// Vectors never cross a call boundary by value. Helpers shared by the
+/// instantiations take and return them through references and are
+/// always inlined, because a 256/512-bit vector argument changes the
+/// calling convention between code compiled for different ISAs.
+
+#include <cstdint>
+#include <span>
+
+#if defined(__x86_64__) || defined(__i386__)
+#define ANDA_SIMD_X86 1
+#define ANDA_TARGET_AVX2 __attribute__((target("avx2")))
+#define ANDA_TARGET_AVX512F __attribute__((target("avx512f")))
+#else
+#define ANDA_SIMD_X86 0
+#endif
+
+namespace anda::simd {
+
+/// ISA levels a kernel is instantiated for. kBaseline is the build's
+/// own target (SSE2 on x86-64) and runs everywhere.
+enum class Isa { kBaseline, kAvx2, kAvx512f };
+
+/// Short lowercase name ("baseline", "avx2", "avx512f").
+const char *isa_name(Isa isa);
+
+/// True when the host CPU (and OS) can execute code built for `isa`.
+bool isa_supported(Isa isa);
+
+using f32x4 = float __attribute__((vector_size(16)));
+using f32x8 = float __attribute__((vector_size(32)));
+using f32x16 = float __attribute__((vector_size(64)));
+using u32x4 = std::uint32_t __attribute__((vector_size(16)));
+using u32x8 = std::uint32_t __attribute__((vector_size(32)));
+using u32x16 = std::uint32_t __attribute__((vector_size(64)));
+using i32x4 = std::int32_t __attribute__((vector_size(16)));
+using i32x8 = std::int32_t __attribute__((vector_size(32)));
+using i32x16 = std::int32_t __attribute__((vector_size(64)));
+
+/// One ISA instantiation of a kernel with signature Fn.
+template <class Fn>
+struct Variant {
+    Isa isa;
+    Fn *run;
+};
+
+/// The first entry of a widest-first variant table that the host can
+/// run; the table's last entry must be the baseline.
+template <class Fn>
+Fn *
+widest_supported(std::span<const Variant<Fn>> table)
+{
+    for (const Variant<Fn> &v : table) {
+        if (isa_supported(v.isa)) {
+            return v.run;
+        }
+    }
+    return table.back().run;
+}
+
+}  // namespace anda::simd

@@ -10,11 +10,13 @@
 /// bits below the FP16 LSB so that small exponent distances stay lossless
 /// (this is how FIGNA/iFPU-style "extended mantissa" formats are modeled).
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/fp16.h"
+#include "common/simd.h"
 
 namespace anda {
 
@@ -59,6 +61,14 @@ std::vector<float> decode_bfp_group(const BfpGroup &group,
 /// This is the "drop-in activation replacement" used by the accuracy
 /// experiments: it returns the dequantized values the INT datapath
 /// would effectively compute with.
+///
+/// Throws std::invalid_argument on mismatched spans, group_size < 1 or
+/// mantissa_bits outside [1, 32), also for empty spans. `output` may
+/// alias `input`. Each group is one allocation-free pass of FP16
+/// encoding and an integer exponent maximum, then a second that aligns,
+/// truncates and re-signs every element, on the widest vector ISA the
+/// host supports (common/simd.h). Bit-identical to decode_bfp_group of
+/// encode_bfp_group, which stay the oracle.
 void bfp_roundtrip(std::span<const float> input, std::span<float> output,
                    const BfpParams &params);
 
@@ -69,6 +79,19 @@ std::vector<float> bfp_roundtrip(std::span<const float> input,
 /// Returns the scale 2^(shared_exponent - 14 - mantissa_bits) that maps
 /// integer mantissas of a group to real values.
 float bfp_group_scale(int shared_exponent, int mantissa_bits);
+
+namespace detail {
+
+/// Signature of one ISA instantiation of bfp_roundtrip (parameters
+/// already validated).
+using BfpRoundtripFn = void(const float *in, float *out, std::size_t n,
+                            int group_size, int mantissa_bits);
+
+/// Every instantiation, widest first (tests run each one the host
+/// supports).
+std::span<const simd::Variant<BfpRoundtripFn>> bfp_roundtrip_variants();
+
+}  // namespace detail
 
 /// Storage bits per element for a BFP configuration (sign + mantissa +
 /// the group's amortized exponent byte), matching the paper's element

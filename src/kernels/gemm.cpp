@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/check.h"
@@ -41,25 +42,189 @@ dot_f32(const float *a, const float *b, std::size_t n)
     return s;
 }
 
+WeightPanels::WeightPanels(Matrix w) : rows_(w.rows()), cols_(w.cols())
+{
+    // Rows [16p, 16p + 16) of the row-major matrix are one contiguous
+    // [16][K] block at the panel's own offset, so each panel is a
+    // transpose of its block in place through one block of scratch.
+    data_ = w.release();
+    data_.resize(panels() * cols_ * kWidth, 0.0f);
+    std::vector<float> block(kWidth * cols_);
+    for (std::size_t p = 0; p < panels(); ++p) {
+        float *panel = data_.data() + p * cols_ * kWidth;
+        std::copy_n(panel, block.size(), block.data());
+        for (std::size_t r = 0; r < kWidth; ++r) {
+            for (std::size_t c = 0; c < cols_; ++c) {
+                panel[c * kWidth + r] = block[r * cols_ + c];
+            }
+        }
+    }
+}
+
+WeightPanels
+pack_dequantized(const QuantizedWeight &w)
+{
+    return WeightPanels(w.dequantize());
+}
+
+namespace {
+
+constexpr std::size_t kPanel = WeightPanels::kWidth;
+
+// R token rows (row stride k) against one panel. acc[r][l][v] holds
+// dot_f32's lane-l accumulator for the outputs of vector v, so lane l
+// of output n still sums a[i] * w[n][i] over i = l (mod 16) in
+// ascending i. A pass over k accumulates L of the 16 lanes, then adds
+// them to the running sums in lane order, so every sum adds lanes
+// 0..15 in order starting from 0.0f, then the k % 16 tail products.
+template <class V, int R, int L>
+[[gnu::always_inline]] inline void
+panel_block(const float *a, std::size_t k, const float *panel,
+            float (&out)[R][kPanel])
+{
+    static_assert(kPanel % L == 0, "lanes per pass must divide 16");
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+    constexpr int kVecs = static_cast<int>(kPanel / kLanes);
+    const std::size_t k16 = k / kPanel * kPanel;
+    V sum[R][kVecs] = {};
+    for (int l0 = 0; l0 < static_cast<int>(kPanel); l0 += L) {
+        V acc[R][L][kVecs] = {};
+        for (std::size_t i = 0; i < k16; i += kPanel) {
+            for (int l = 0; l < L; ++l) {
+                const float *wk = panel + (i + l0 + l) * kPanel;
+                V w[kVecs];
+                for (int v = 0; v < kVecs; ++v) {
+                    std::memcpy(&w[v], wk + v * kLanes, sizeof(V));
+                }
+                for (int r = 0; r < R; ++r) {
+                    const float x = a[r * k + i + l0 + l];
+                    for (int v = 0; v < kVecs; ++v) {
+                        acc[r][l][v] += x * w[v];
+                    }
+                }
+            }
+        }
+        for (int r = 0; r < R; ++r) {
+            for (int l = 0; l < L; ++l) {
+                for (int v = 0; v < kVecs; ++v) {
+                    sum[r][v] += acc[r][l][v];
+                }
+            }
+        }
+    }
+    for (std::size_t i = k16; i < k; ++i) {
+        const float *wk = panel + i * kPanel;
+        V w[kVecs];
+        for (int v = 0; v < kVecs; ++v) {
+            std::memcpy(&w[v], wk + v * kLanes, sizeof(V));
+        }
+        for (int r = 0; r < R; ++r) {
+            const float x = a[r * k + i];
+            for (int v = 0; v < kVecs; ++v) {
+                sum[r][v] += x * w[v];
+            }
+        }
+    }
+    std::memcpy(out, sum, sizeof out);
+}
+
+// The serial panel GeMM: panels outer (one panel stays in L1 across
+// the token rows), blocks of R token rows inner, single rows last.
+template <class V, int R, int L>
+[[gnu::always_inline]] inline void
+panel_gemm(const float *a, std::size_t rows, const WeightPanels &w,
+           float *c)
+{
+    const std::size_t k = w.cols();
+    const std::size_t n = w.rows();
+    for (std::size_t p = 0; p < w.panels(); ++p) {
+        const float *panel = w.panel(p);
+        const std::size_t n0 = p * kPanel;
+        const std::size_t width = std::min(kPanel, n - n0);
+        std::size_t t = 0;
+        for (; t + R <= rows; t += R) {
+            float out[R][kPanel];
+            panel_block<V, R, L>(a + t * k, k, panel, out);
+            for (int r = 0; r < R; ++r) {
+                std::memcpy(c + (t + r) * n + n0, out[r],
+                            width * sizeof(float));
+            }
+        }
+        for (; t < rows; ++t) {
+            float out[1][kPanel];
+            panel_block<V, 1, L>(a + t * k, k, panel, out);
+            std::memcpy(c + t * n + n0, out[0], width * sizeof(float));
+        }
+    }
+}
+
+#if ANDA_SIMD_X86
+ANDA_TARGET_AVX512F void
+panel_gemm_avx512f(const float *a, std::size_t rows, const WeightPanels &w,
+                   float *c)
+{
+    panel_gemm<simd::f32x16, 4, 4>(a, rows, w, c);
+}
+
+ANDA_TARGET_AVX2 void
+panel_gemm_avx2(const float *a, std::size_t rows, const WeightPanels &w,
+                float *c)
+{
+    panel_gemm<simd::f32x8, 4, 1>(a, rows, w, c);
+}
+#endif
+
+void
+panel_gemm_baseline(const float *a, std::size_t rows,
+                    const WeightPanels &w, float *c)
+{
+    panel_gemm<simd::f32x4, 2, 1>(a, rows, w, c);
+}
+
+constexpr simd::Variant<detail::PanelGemmFn> kPanelGemmVariants[] = {
+#if ANDA_SIMD_X86
+    {simd::Isa::kAvx512f, panel_gemm_avx512f},
+    {simd::Isa::kAvx2, panel_gemm_avx2},
+#endif
+    {simd::Isa::kBaseline, panel_gemm_baseline},
+};
+
+}  // namespace
+
+std::span<const simd::Variant<detail::PanelGemmFn>>
+detail::panel_gemm_variants()
+{
+    return kPanelGemmVariants;
+}
+
+void
+matmul_wt(const float *a, std::size_t rows, const WeightPanels &w,
+          float *c)
+{
+    static detail::PanelGemmFn *const run =
+        simd::widest_supported(detail::panel_gemm_variants());
+    run(a, rows, w, c);
+}
+
 Matrix
-matmul_wt(const Matrix &a, const Matrix &w, std::size_t threads)
+matmul_wt(const Matrix &a, const WeightPanels &w, std::size_t threads)
 {
     check_gemm_shapes(a.cols(), w.cols(), "matmul_wt");
     Matrix c(a.rows(), w.rows());
-    const std::size_t k = a.cols();
     parallel_for_chunked(
         0, a.rows(),
         [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t t = lo; t < hi; ++t) {
-                const float *arow = a.data() + t * k;
-                float *crow = c.data() + t * w.rows();
-                for (std::size_t n = 0; n < w.rows(); ++n) {
-                    crow[n] = dot_f32(arow, w.data() + n * k, k);
-                }
-            }
+            matmul_wt(a.data() + lo * a.cols(), hi - lo, w,
+                      c.data() + lo * w.rows());
         },
         threads);
     return c;
+}
+
+Matrix
+matmul_wt(const Matrix &a, const Matrix &w, std::size_t threads)
+{
+    return matmul_wt(a, WeightPanels(w), threads);
 }
 
 Matrix
@@ -90,9 +255,7 @@ apply_act_format(Matrix &a, const ActFormat &fmt, std::size_t threads)
             0, a.rows(),
             [&](std::size_t lo, std::size_t hi) {
                 for (std::size_t t = lo; t < hi; ++t) {
-                    for (float &v : a.row(t)) {
-                        v = fp16_round(v);
-                    }
+                    fp16_round(a.row(t), a.row(t));
                 }
             },
             threads);
@@ -121,8 +284,7 @@ gemm_fp16_dequant(const Matrix &a, const QuantizedWeight &w,
     // Dequantized INT4 weights are exact in FP16 (scale is FP16 and the
     // product q*scale has at most 14 significant bits), so a float
     // matmul of the dequantized matrix models the tensor-core path.
-    const Matrix wd = w.dequantize();
-    return matmul_wt(a16, wd, threads);
+    return matmul_wt(a16, pack_dequantized(w), threads);
 }
 
 Matrix
@@ -134,8 +296,7 @@ gemm_bfp_fakequant(const Matrix &a, const QuantizedWeight &w,
     apply_act_format(ab, ActFormat::bfp(params.group_size,
                                         params.mantissa_bits),
                      threads);
-    const Matrix wd = w.dequantize();
-    return matmul_wt(ab, wd, threads);
+    return matmul_wt(ab, pack_dequantized(w), threads);
 }
 
 std::int64_t

@@ -14,6 +14,15 @@
 /// std::invalid_argument in every build type, not assert, so Release
 /// builds fail loudly instead of reading out of bounds.
 ///
+/// The float path (matmul_wt) multiplies against WeightPanels: weights
+/// packed once into panels of 16 output channels, each [K][16]. Its
+/// kernel is one template over GCC/Clang vector types, instantiated for
+/// AVX-512F, AVX2 and the baseline ISA and picked once per process by
+/// CPUID (common/simd.h). Every instantiation is bit-identical to
+/// dot_f32, which stays the oracle (tests/test_gemm.cpp memcmps each
+/// one the host supports); the build's -ffp-contract=off keeps FMA
+/// contraction from breaking that in the wider targets.
+///
 /// Threading: every kernel takes a thread count where 0 means all
 /// cores and 1 means serial. Callers that already parallelize at a
 /// coarser grain (e.g. across sequences) pass 1 so inner kernels do not
@@ -21,8 +30,10 @@
 /// convention.
 
 #include <span>
+#include <vector>
 
 #include "common/matrix.h"
+#include "common/simd.h"
 #include "format/anda_tensor.h"
 #include "format/bfp.h"
 #include "quant/weight_quant.h"
@@ -49,13 +60,67 @@ struct ActFormat {
     }
 };
 
-/// Dot product with deterministic lane-wise accumulation (vectorizes
-/// without -ffast-math).
+/// Dot product with deterministic lane-wise accumulation: lane l sums
+/// a[k]*b[k] over k = l (mod 16) in ascending k (for the full blocks of
+/// 16), the 16 lanes are summed in order starting from 0.0f, then the
+/// n % 16 tail is added in order. This is the oracle of the panel GeMM
+/// below, which reproduces its result bit for bit.
 float dot_f32(const float *a, const float *b, std::size_t n);
 
-/// C = A * W^T with float32 inputs, parallelized over token rows.
+/// Weights [N x K] laid out once for the panel GeMM: output channels are
+/// grouped into panels of kWidth, each panel stored [K][kWidth] so the
+/// kWidth weights of one reduction index are contiguous, and N is
+/// zero-padded to a multiple of kWidth. The layout lets one vector
+/// multiply-add serve kWidth output channels at the same k.
+class WeightPanels {
+  public:
+    static constexpr std::size_t kWidth = 16;
+
+    WeightPanels() = default;
+
+    /// Packs a row-major [N x K] weight matrix. Packing reuses the
+    /// matrix's storage, so a caller that moves its matrix in allocates
+    /// nothing but one panel of scratch.
+    explicit WeightPanels(Matrix w);
+
+    std::size_t rows() const { return rows_; }
+    std::size_t cols() const { return cols_; }
+    std::size_t panels() const { return (rows_ + kWidth - 1) / kWidth; }
+
+    /// Panel p: cols() blocks of kWidth floats.
+    const float *panel(std::size_t p) const
+    {
+        return data_.data() + p * cols_ * kWidth;
+    }
+
+  private:
+
+    std::size_t rows_ = 0;
+    std::size_t cols_ = 0;
+    std::vector<float> data_;
+};
+
+/// QuantizedWeight::dequantize() packed into panels; the dequantized
+/// matrix's storage becomes the panels' (no second copy).
+WeightPanels pack_dequantized(const QuantizedWeight &w);
+
+/// C = A * W^T for `rows` contiguous token rows of a ([rows x K]) into
+/// c ([rows x N], row-major), serially, on the widest instantiation the
+/// host supports. Output (t, n) is bit-identical to dot_f32(a_t, w_n,
+/// K): the kernel keeps dot_f32's 16 lane accumulators per output in
+/// vector lanes and adds them in its order. A pass holds 4 token rows x
+/// 4 of the 16 lanes of one panel in registers (fewer on narrower ISAs).
+void matmul_wt(const float *a, std::size_t rows, const WeightPanels &w,
+               float *c);
+
+/// C = A * W^T against packed weights, parallelized over token rows.
 /// threads = 0 uses all cores; 1 runs serially (callers that already
 /// parallelize at a coarser grain pass 1).
+Matrix matmul_wt(const Matrix &a, const WeightPanels &w,
+                 std::size_t threads = 0);
+
+/// C = A * W^T with a row-major [N x K] weight: packs W, then runs the
+/// panel kernel (callers that reuse a weight keep its WeightPanels).
 Matrix matmul_wt(const Matrix &a, const Matrix &w,
                  std::size_t threads = 0);
 
@@ -119,5 +184,17 @@ Matrix gemm_anda(const Matrix &a, const QuantizedWeight &w,
 /// bit-identical to it (enforced by tests/test_gemm.cpp).
 std::int64_t anda_group_dot(const AndaGroup &g, int mantissa_bits,
                             std::span<const std::int8_t> w);
+
+namespace detail {
+
+/// Signature of one ISA instantiation of the serial panel GeMM.
+using PanelGemmFn = void(const float *a, std::size_t rows,
+                         const WeightPanels &w, float *c);
+
+/// Every instantiation, widest first (tests run each one the host
+/// supports against dot_f32).
+std::span<const simd::Variant<PanelGemmFn>> panel_gemm_variants();
+
+}  // namespace detail
 
 }  // namespace anda

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/fp16.h"
@@ -77,10 +78,15 @@ w4_params()
     return p;
 }
 
-Matrix
-quantize_dequantize(const Matrix &w)
+/// Stores a drawn weight as its full-precision and its dequantized
+/// W4A16g128 panels. Called right after the weight's last RNG draw; the
+/// full panels take over the draw's storage, so storing a weight
+/// allocates only its dequantized panels and the quantizer's scratch.
+void
+store_weight(Matrix w, WeightPanels &full, WeightPanels &dq)
 {
-    return QuantizedWeight::quantize(w, w4_params()).dequantize();
+    dq = pack_dequantized(QuantizedWeight::quantize(w, w4_params()));
+    full = WeightPanels(std::move(w));
 }
 
 }  // namespace
@@ -123,10 +129,13 @@ Transformer::Transformer(const ModelConfig &cfg) : cfg_(cfg)
     // (untrained) weights a tied head creates a degenerate
     // copy-current-token attractor through the residual stream, which
     // no trained LM exhibits.
-    lm_head_ = Matrix(static_cast<std::size_t>(d.vocab),
-                      static_cast<std::size_t>(d.d_model));
-    fill_gaussian(lm_head_, rng, 1.0);
-    round_matrix_fp16(lm_head_);
+    {
+        Matrix head(static_cast<std::size_t>(d.vocab),
+                    static_cast<std::size_t>(d.d_model));
+        fill_gaussian(head, rng, 1.0);
+        round_matrix_fp16(head);
+        lm_head_ = WeightPanels(std::move(head));
+    }
     if (!cfg_.is_llama()) {
         pos_embedding_ = Matrix(static_cast<std::size_t>(d.max_seq),
                                 static_cast<std::size_t>(d.d_model));
@@ -172,41 +181,39 @@ Transformer::Transformer(const ModelConfig &cfg) : cfg_(cfg)
         lw.norm1_gain = channel_gain;
         lw.norm2_gain = channel_gain;
 
-        lw.wq = Matrix(d.d_model, d.d_model);
-        lw.wk = Matrix(d.d_model, d.d_model);
-        lw.wv = Matrix(d.d_model, d.d_model);
-        lw.wo = Matrix(d.d_model, d.d_model);
-        fill_gaussian(lw.wq, rng,
-                      inv_sqrt_d * prof.attn_sharpness / rms_gain);
-        fill_gaussian(lw.wk, rng, inv_sqrt_d / rms_gain);
-        fill_gaussian(lw.wv, rng, inv_sqrt_d / rms_gain);
-        fill_gaussian(lw.wo, rng, inv_sqrt_d * resid_scale / rms_ctx);
+        // Draw order: wq, wk, wv, wo, the wv outliers, w_up, w_down, the
+        // w_up outliers, then w_gate. Each weight is stored as soon as
+        // its last draw is done.
+        const auto draw = [&](std::size_t rows, std::size_t cols,
+                              double sigma) {
+            Matrix w(rows, cols);
+            fill_gaussian(w, rng, sigma);
+            return w;
+        };
+        const std::size_t dm = static_cast<std::size_t>(d.d_model);
+        const std::size_t df = static_cast<std::size_t>(d.d_ffn);
+        store_weight(
+            draw(dm, dm, inv_sqrt_d * prof.attn_sharpness / rms_gain),
+            lw.wq, lw.wq_dq);
+        store_weight(draw(dm, dm, inv_sqrt_d / rms_gain), lw.wk, lw.wk_dq);
+        Matrix wv = draw(dm, dm, inv_sqrt_d / rms_gain);
+        store_weight(draw(dm, dm, inv_sqrt_d * resid_scale / rms_ctx),
+                     lw.wo, lw.wo_dq);
         // Outlier output channels of Wv shape the Ao tap's statistics.
-        implant_row_outliers(lw.wv, rng, prof.outlier_channels,
+        implant_row_outliers(wv, rng, prof.outlier_channels,
                              prof.o_outlier_gain);
+        store_weight(std::move(wv), lw.wv, lw.wv_dq);
 
-        lw.w_up = Matrix(d.d_ffn, d.d_model);
-        lw.w_down = Matrix(d.d_model, d.d_ffn);
-        fill_gaussian(lw.w_up, rng, inv_sqrt_d / rms_gain);
-        fill_gaussian(lw.w_down, rng,
-                      inv_sqrt_f * resid_scale / rms_ffn);
+        Matrix w_up = draw(df, dm, inv_sqrt_d / rms_gain);
+        store_weight(draw(dm, df, inv_sqrt_f * resid_scale / rms_ffn),
+                     lw.w_down, lw.w_down_dq);
         // Outlier FFN channels shape the Ad tap's statistics.
-        implant_row_outliers(lw.w_up, rng, prof.outlier_channels,
+        implant_row_outliers(w_up, rng, prof.outlier_channels,
                              prof.d_outlier_gain);
+        store_weight(std::move(w_up), lw.w_up, lw.w_up_dq);
         if (cfg_.is_llama()) {
-            lw.w_gate = Matrix(d.d_ffn, d.d_model);
-            fill_gaussian(lw.w_gate, rng, inv_sqrt_d / rms_gain);
-        }
-
-        // Deployment-quantized (W4A16g128) copies.
-        lw.wq_dq = quantize_dequantize(lw.wq);
-        lw.wk_dq = quantize_dequantize(lw.wk);
-        lw.wv_dq = quantize_dequantize(lw.wv);
-        lw.wo_dq = quantize_dequantize(lw.wo);
-        lw.w_up_dq = quantize_dequantize(lw.w_up);
-        lw.w_down_dq = quantize_dequantize(lw.w_down);
-        if (cfg_.is_llama()) {
-            lw.w_gate_dq = quantize_dequantize(lw.w_gate);
+            store_weight(draw(df, dm, inv_sqrt_d / rms_gain), lw.w_gate,
+                         lw.w_gate_dq);
         }
     }
 }
@@ -437,27 +444,49 @@ Transformer::run_block(std::size_t layer, Matrix &x,
 }
 
 void
-Transformer::final_logits_row(std::span<const float> x,
-                              std::span<float> out) const
+Transformer::final_logits(const Matrix &x, std::size_t row0,
+                          std::size_t rows, float *out) const
 {
     const ModelDims &dims = cfg_.sim;
-    std::vector<float> normed(x.size());
-    if (cfg_.is_llama()) {
-        rms_norm(x, final_norm_gain_, normed);
-    } else {
-        layer_norm(x, final_norm_gain_, normed);
+    Matrix normed(rows, x.cols());
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (cfg_.is_llama()) {
+            rms_norm(x.row(row0 + r), final_norm_gain_, normed.row(r));
+        } else {
+            layer_norm(x.row(row0 + r), final_norm_gain_, normed.row(r));
+        }
     }
-    for (float &v : normed) {
-        v = fp16_round(v);
-    }
+    fp16_round(normed.flat(), normed.flat());
     const float scale =
         static_cast<float>(cfg_.profile.logit_scale) /
         std::sqrt(static_cast<float>(dims.d_model));
-    for (std::size_t v = 0; v < out.size(); ++v) {
-        out[v] = scale * dot_f32(normed.data(),
-                                 lm_head_.data() + v * x.size(),
-                                 x.size());
+    matmul_wt(normed.data(), rows, lm_head_, out);
+    for (float &v : std::span<float>(out, rows * lm_head_.rows())) {
+        v = scale * v;
     }
+}
+
+double
+Transformer::nll_rows(const Matrix &x, std::size_t row0,
+                      std::span<const int> tokens) const
+{
+    // A block of rows at a time: the head GeMM reuses each weight panel
+    // across the block, and peak memory stays at kBlock vocab-sized rows
+    // instead of the full [T x vocab] matrix.
+    constexpr std::size_t kBlock = 16;
+    const std::size_t vocab = lm_head_.rows();
+    std::vector<float> logits(kBlock * vocab);
+    double nll = 0.0;
+    for (std::size_t t0 = 0; t0 + 1 < tokens.size(); t0 += kBlock) {
+        const std::size_t rows = std::min(kBlock, tokens.size() - 1 - t0);
+        final_logits(x, row0 + t0, rows, logits.data());
+        for (std::size_t r = 0; r < rows; ++r) {
+            nll -= log_prob_of(
+                std::span<const float>(logits.data() + r * vocab, vocab),
+                tokens[t0 + r + 1]);
+        }
+    }
+    return nll;
 }
 
 Matrix
@@ -542,7 +571,7 @@ Transformer::prefill(KvSeq &cache, std::span<const int> tokens,
     std::vector<float> logits;
     if (want_logits) {
         logits.resize(static_cast<std::size_t>(cfg_.sim.vocab));
-        final_logits_row(x.row(len - 1), logits);
+        final_logits(x, len - 1, 1, logits.data());
     }
     return logits;
 }
@@ -558,9 +587,7 @@ Transformer::decode_step(BatchKvCache &caches,
     const Matrix x = forward_hidden(tokens, lens, opts, &caches);
     Matrix logits(tokens.size(),
                   static_cast<std::size_t>(cfg_.sim.vocab));
-    for (std::size_t b = 0; b < tokens.size(); ++b) {
-        final_logits_row(x.row(b), logits.row(b));
-    }
+    final_logits(x, 0, tokens.size(), logits.data());
     return logits;
 }
 
@@ -572,9 +599,7 @@ Transformer::forward_logits(std::span<const int> tokens,
     const Matrix x = forward_hidden(tokens, {&len, 1}, opts);
     Matrix logits(tokens.size(),
                   static_cast<std::size_t>(cfg_.sim.vocab));
-    for (std::size_t t = 0; t < tokens.size(); ++t) {
-        final_logits_row(x.row(t), logits.row(t));
-    }
+    final_logits(x, 0, tokens.size(), logits.data());
     return logits;
 }
 
@@ -615,9 +640,7 @@ Transformer::forward_logits_batched(
     const PackedBatch packed = pack_sequences(seqs);
     const Matrix x = forward_hidden(packed.tokens, packed.lens, opts);
     Matrix logits(x.rows(), static_cast<std::size_t>(cfg_.sim.vocab));
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        final_logits_row(x.row(r), logits.row(r));
-    }
+    final_logits(x, 0, x.rows(), logits.data());
     return logits;
 }
 
@@ -630,17 +653,10 @@ Transformer::nll_stacked(std::span<const int> tokens_flat,
         ANDA_CHECK_GE(len, 2u, "need at least two tokens for NLL");
     }
     const Matrix x = forward_hidden(tokens_flat, seq_lens, opts);
-    // Stream the logit head one row at a time: peak memory stays at one
-    // vocab-sized buffer instead of the full [sum(T_i) x vocab] matrix.
-    std::vector<float> logits(static_cast<std::size_t>(cfg_.sim.vocab));
     std::vector<double> nll(seq_lens.size(), 0.0);
     std::size_t off = 0;
     for (std::size_t s = 0; s < seq_lens.size(); ++s) {
-        for (std::size_t t = 0; t + 1 < seq_lens[s]; ++t) {
-            const std::size_t row = off + t;
-            final_logits_row(x.row(row), logits);
-            nll[s] -= log_prob_of(logits, tokens_flat[row + 1]);
-        }
+        nll[s] = nll_rows(x, off, tokens_flat.subspan(off, seq_lens[s]));
         off += seq_lens[s];
     }
     return nll;
@@ -672,13 +688,7 @@ Transformer::cached_sequence_nll(std::span<const int> tokens,
     batch.add(cache);
     const std::size_t len = tokens.size();
     const Matrix x = forward_hidden(tokens, {&len, 1}, opts, &batch);
-    std::vector<float> logits(static_cast<std::size_t>(cfg_.sim.vocab));
-    double nll = 0.0;
-    for (std::size_t t = 0; t + 1 < len; ++t) {
-        final_logits_row(x.row(t), logits);
-        nll -= log_prob_of(logits, tokens[t + 1]);
-    }
-    return nll;
+    return nll_rows(x, 0, tokens);
 }
 
 std::vector<double>

@@ -83,16 +83,17 @@ class Transformer {
 
     /// Sum of next-token negative log-likelihoods over the sequence
     /// (predicting tokens[1..T-1]); the number of predicted tokens is
-    /// tokens.size() - 1. Streams one logits row at a time (the
-    /// [T x vocab] logits matrix is never materialized).
+    /// tokens.size() - 1. Streams the logit head a block of rows at a
+    /// time (the [T x vocab] logits matrix is never materialized).
     double sequence_nll(std::span<const int> tokens,
                         const RunOptions &opts) const;
 
     /// Per-sequence NLL sums of B sequences (mixed lengths allowed)
     /// evaluated in one packed forward pass. Bit-identical to calling
     /// sequence_nll on each sequence (enforced by tests/test_batched.cpp
-    /// and tests/test_ragged.cpp); like sequence_nll it streams logit
-    /// rows instead of materializing the [sum(T_i) x vocab] matrix.
+    /// and tests/test_ragged.cpp); like sequence_nll it streams blocks
+    /// of logit rows instead of materializing the [sum(T_i) x vocab]
+    /// matrix.
     std::vector<double>
     batch_nll(std::span<const std::vector<int>> seqs,
               const RunOptions &opts) const;
@@ -148,15 +149,16 @@ class Transformer {
     struct LayerWeights {
         std::vector<float> norm1_gain;
         std::vector<float> norm2_gain;
-        // Full-precision weights, [out x in] row-major.
-        Matrix wq, wk, wv, wo;
-        Matrix w_gate;  // LLaMA only.
-        Matrix w_up;
-        Matrix w_down;
-        // Dequantized W4A16g128 weights (same shapes).
-        Matrix wq_dq, wk_dq, wv_dq, wo_dq;
-        Matrix w_gate_dq;
-        Matrix w_up_dq, w_down_dq;
+        // Full-precision weights, [out x in], packed for the panel GeMM
+        // (no row-major copy is kept).
+        WeightPanels wq, wk, wv, wo;
+        WeightPanels w_gate;  // LLaMA only.
+        WeightPanels w_up;
+        WeightPanels w_down;
+        // Dequantized W4A16g128 weights (same shapes and layout).
+        WeightPanels wq_dq, wk_dq, wv_dq, wo_dq;
+        WeightPanels w_gate_dq;
+        WeightPanels w_up_dq, w_down_dq;
     };
 
     /// Runs one transformer block over x [sum(T_i) x d] in place,
@@ -174,8 +176,9 @@ class Transformer {
                    BatchKvCache *kv,
                    std::span<const std::size_t> seq_lens) const;
 
-    const Matrix &pick(const Matrix &full, const Matrix &dq,
-                       const RunOptions &opts) const
+    const WeightPanels &pick(const WeightPanels &full,
+                             const WeightPanels &dq,
+                             const RunOptions &opts) const
     {
         return opts.quantized_weights ? dq : full;
     }
@@ -197,12 +200,21 @@ class Transformer {
     nll_stacked(std::span<const int> tokens_flat,
                 std::span<const std::size_t> seq_lens,
                 const RunOptions &opts) const;
-    void final_logits_row(std::span<const float> x,
-                          std::span<float> out) const;
+    /// Logit head over rows [row0, row0 + rows) of the final hidden
+    /// states x into out ([rows x vocab], row-major): final norm, FP16
+    /// rounding and one panel GeMM over all the rows, then the logit
+    /// scale. Each row is bit-identical to computing it alone.
+    void final_logits(const Matrix &x, std::size_t row0, std::size_t rows,
+                      float *out) const;
+    /// NLL of predicting tokens[1..] from hidden rows [row0, row0 +
+    /// tokens.size() - 1) of x, streaming the logit head in blocks of
+    /// rows.
+    double nll_rows(const Matrix &x, std::size_t row0,
+                    std::span<const int> tokens) const;
 
     ModelConfig cfg_;
     Matrix embedding_;      // [vocab x d]
-    Matrix lm_head_;        // [vocab x d], untied from the embedding
+    WeightPanels lm_head_;  // [vocab x d], untied from the embedding
     Matrix pos_embedding_;  // [max_seq x d] (OPT only)
     std::vector<float> final_norm_gain_;
     std::vector<LayerWeights> layers_;

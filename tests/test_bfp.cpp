@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iostream>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "format/bfp.h"
 
 namespace anda {
@@ -99,6 +106,128 @@ TEST(Bfp, BitsPerElementAccounting)
 {
     EXPECT_DOUBLE_EQ(bfp_bits_per_element({64, 7}), 1 + 7 + 8.0 / 64);
     EXPECT_DOUBLE_EQ(bfp_bits_per_element({1, 11}), 1 + 11 + 8.0);
+}
+
+TEST(Bfp, RoundtripRejectsBadParamsUpFront)
+{
+    std::vector<float> vals(8, 1.0f);
+    std::vector<float> out(8);
+    const std::span<const float> none;
+    // Checked at entry: an empty span does not hide a bad configuration.
+    EXPECT_THROW(bfp_roundtrip(none, std::span<float>(), {64, 0}),
+                 std::invalid_argument);
+    EXPECT_THROW(bfp_roundtrip(none, std::span<float>(), {0, 8}),
+                 std::invalid_argument);
+    EXPECT_THROW(bfp_roundtrip(vals, out, {64, 0}), std::invalid_argument);
+    EXPECT_THROW(bfp_roundtrip(vals, out, {64, 32}),
+                 std::invalid_argument);
+    EXPECT_THROW(bfp_roundtrip(vals, out, {-1, 8}), std::invalid_argument);
+    EXPECT_THROW(
+        bfp_roundtrip(vals, std::span<float>(out.data(), 7), {64, 8}),
+        std::invalid_argument);
+    EXPECT_THROW((void)bfp_roundtrip(vals, {0, 8}), std::invalid_argument);
+    EXPECT_NO_THROW(bfp_roundtrip(none, std::span<float>(), {64, 8}));
+}
+
+// Random activations with the cases the converter must keep exact:
+// -0.0f, float subnormals (FP16 zero), FP16 subnormals, outliers, an
+// all-zero second group, and in every fifth group one element that
+// overflows FP16 or is +-inf or NaN (such a group's shared exponent is
+// 31, which flushes every ordinary element, so most groups stay
+// finite).
+std::vector<float>
+bfp_inputs(std::size_t n, std::size_t gs, std::uint64_t seed)
+{
+    SplitMix64 rng(seed);
+    std::vector<float> v(n);
+    for (float &x : v) {
+        const double u = rng.uniform();
+        const float z = static_cast<float>(rng.normal(0.0, 1.0));
+        if (u < 0.04) {
+            x = -0.0f;
+        } else if (u < 0.07) {
+            x = z * 1e-40f;
+        } else if (u < 0.15) {
+            x = z * 3e-6f;
+        } else if (u < 0.2) {
+            x = z * 200.0f;
+        } else {
+            x = z;
+        }
+    }
+    for (std::size_t i = gs; i < std::min(n, 2 * gs); ++i) {
+        v[i] = 0.0f;
+    }
+    const float specials[] = {1e5f, INFINITY, -INFINITY,
+                              std::numeric_limits<float>::quiet_NaN()};
+    for (std::size_t g = 2, j = 0; g * gs < n; g += 5, ++j) {
+        v[std::min(n - 1, g * gs + j % gs)] = specials[j % 4];
+    }
+    return v;
+}
+
+// decode_bfp_group(encode_bfp_group(group)) per group: the oracle.
+std::vector<float>
+bfp_oracle(const std::vector<float> &in, const BfpParams &p)
+{
+    std::vector<float> out;
+    const std::size_t gs = static_cast<std::size_t>(p.group_size);
+    for (std::size_t base = 0; base < in.size(); base += gs) {
+        const std::size_t len = std::min(gs, in.size() - base);
+        const auto dec = decode_bfp_group(
+            encode_bfp_group(
+                std::span<const float>(in.data() + base, len), p),
+            p);
+        out.insert(out.end(), dec.begin(), dec.end());
+    }
+    return out;
+}
+
+TEST(Bfp, EveryRoundtripVariantMatchesEncodeDecodeOracle)
+{
+    std::string ran;
+    for (const auto &variant : detail::bfp_roundtrip_variants()) {
+        if (!simd::isa_supported(variant.isa)) {
+            continue;
+        }
+        ran += std::string(ran.empty() ? "" : ", ") +
+               simd::isa_name(variant.isa);
+        for (int gs : {1, 7, 64, 100, 300}) {
+            // At least eight full groups and a partial one.
+            const std::size_t n = static_cast<std::size_t>(
+                gs * std::max(8, 400 / gs) + gs / 2 + 1);
+            const std::vector<float> in =
+                bfp_inputs(n, static_cast<std::size_t>(gs),
+                           static_cast<std::uint64_t>(gs));
+            for (int m = 1; m <= 31; ++m) {
+                const std::vector<float> want = bfp_oracle(in, {gs, m});
+                std::vector<float> out(n);
+                variant.run(in.data(), out.data(), n, gs, m);
+                EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                      n * sizeof(float)),
+                          0)
+                    << simd::isa_name(variant.isa) << " gs=" << gs
+                    << " m=" << m;
+                std::vector<float> alias(in);
+                variant.run(alias.data(), alias.data(), n, gs, m);
+                EXPECT_EQ(std::memcmp(alias.data(), want.data(),
+                                      n * sizeof(float)),
+                          0)
+                    << simd::isa_name(variant.isa) << " in place gs=" << gs
+                    << " m=" << m;
+            }
+        }
+    }
+    std::cout << "[ INFO     ] bfp_roundtrip variants run: " << ran
+              << "\n";
+    ASSERT_FALSE(ran.empty());
+    // The dispatched entry point, in place.
+    std::vector<float> buf = bfp_inputs(1000, 64, 5);
+    const std::vector<float> want = bfp_oracle(buf, {64, 7});
+    bfp_roundtrip(buf, buf, {64, 7});
+    EXPECT_EQ(
+        std::memcmp(buf.data(), want.data(), buf.size() * sizeof(float)),
+        0);
 }
 
 struct BfpSweepParam {

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "kernels/gemm.h"
 
 namespace anda {
@@ -39,6 +42,92 @@ TEST(Gemm, MatmulMatchesDoubleReference)
     const Matrix fast = matmul_wt(a, w);
     const Matrix ref = gemm_ref(a, w);
     EXPECT_LT(max_abs_diff(fast, ref), 1e-3);
+}
+
+// Random values with the IEEE corner cases a reordered or fused
+// accumulation would expose: -0.0f, subnormals, +-inf, and magnitudes
+// whose products overflow. No NaN input: every NaN the GeMM makes is
+// then the one default NaN, so results compare with memcmp.
+Matrix
+special_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed)
+{
+    SplitMix64 rng(seed);
+    Matrix m(rows, cols);
+    for (float &v : m.flat()) {
+        const double u = rng.uniform();
+        if (u < 0.04) {
+            v = -0.0f;
+        } else if (u < 0.08) {
+            v = static_cast<float>(rng.normal(0.0, 1.0)) * 1e-39f;
+        } else if (u < 0.09) {
+            // 1e20 * 1e20 overflows; 1e20 times a normal value does not.
+            v = rng.uniform() < 0.5 ? 1e20f : -1e20f;
+        } else if (u < 0.091) {
+            v = rng.uniform() < 0.5 ? INFINITY : -INFINITY;
+        } else {
+            v = static_cast<float>(rng.normal(0.0, 1.0));
+        }
+    }
+    return m;
+}
+
+// dot_f32 over every (token, output channel): the GeMM oracle.
+Matrix
+dot_f32_gemm(const Matrix &a, const Matrix &w)
+{
+    Matrix c(a.rows(), w.rows());
+    for (std::size_t t = 0; t < a.rows(); ++t) {
+        for (std::size_t n = 0; n < w.rows(); ++n) {
+            c(t, n) = dot_f32(a.row(t).data(), w.row(n).data(), a.cols());
+        }
+    }
+    return c;
+}
+
+bool
+same_bits(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(Gemm, PanelMatmulMatchesDotF32BitForBit)
+{
+    std::string ran;
+    for (const auto &variant : detail::panel_gemm_variants()) {
+        if (!simd::isa_supported(variant.isa)) {
+            continue;
+        }
+        ran += std::string(ran.empty() ? "" : ", ") +
+               simd::isa_name(variant.isa);
+        for (std::size_t k : {1u, 15u, 17u, 128u, 130u, 384u, 512u}) {
+            for (std::size_t n : {1u, 17u, 33u}) {
+                const Matrix w = special_matrix(n, k, 1000 + 7 * k + n);
+                const WeightPanels panels(w);
+                for (std::size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
+                                      33u}) {
+                    const Matrix a = special_matrix(m, k, 2000 + k + m);
+                    const Matrix want = dot_f32_gemm(a, w);
+                    Matrix got(m, n);
+                    variant.run(a.data(), m, panels, got.data());
+                    EXPECT_TRUE(same_bits(got, want))
+                        << simd::isa_name(variant.isa) << " m=" << m
+                        << " n=" << n << " k=" << k;
+                }
+            }
+        }
+    }
+    std::cout << "[ INFO     ] panel GeMM variants run: " << ran << "\n";
+    ASSERT_FALSE(ran.empty());
+
+    // The public overloads (dispatched, threaded, and packing a
+    // row-major weight per call) give the same bits.
+    const Matrix a = special_matrix(33, 130, 3);
+    const Matrix w = special_matrix(33, 130, 4);
+    const Matrix want = dot_f32_gemm(a, w);
+    EXPECT_TRUE(same_bits(matmul_wt(a, w), want));
+    EXPECT_TRUE(same_bits(matmul_wt(a, w, 1), want));
+    EXPECT_TRUE(same_bits(matmul_wt(a, WeightPanels(w), 4), want));
 }
 
 TEST(Gemm, DotHandlesShortAndUnalignedLengths)
