@@ -11,6 +11,7 @@ std::vector<Request>
 generate_requests(const RequestStreamSpec &spec)
 {
     ANDA_CHECK_GE(spec.n_requests, 0, "negative request count");
+    ANDA_CHECK(!std::isnan(spec.arrival_rate), "NaN arrival rate");
     ANDA_CHECK(spec.prompt_min >= 1 && spec.prompt_max >= spec.prompt_min,
                "bad prompt length bounds");
     ANDA_CHECK(spec.output_min >= 1 && spec.output_max >= spec.output_min,

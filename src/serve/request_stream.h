@@ -37,7 +37,7 @@ struct RequestStreamSpec {
     int n_requests = 32;
     /// Mean arrival rate [requests/s]; inter-arrival times are
     /// exponential. A rate <= 0 makes every request arrive at t = 0
-    /// (the closed-batch / offline regime).
+    /// (the closed-batch / offline regime); NaN is rejected.
     double arrival_rate = 4.0;
     /// Prompt length bounds [tokens], inclusive uniform.
     int prompt_min = 16;

@@ -449,6 +449,7 @@ simulate_serving(const ModelConfig &model,
     for (const Request &r : requests) {
         ANDA_CHECK(r.prompt_len >= 1 && r.output_len >= 1,
                    "bad request lengths");
+        ANDA_CHECK(std::isfinite(r.arrival_s), "non-finite arrival time");
         ANDA_CHECK(r.ttft_slo_s >= 0.0 && r.deadline_s >= 0.0,
                    "negative request SLO");
         max_rows = std::max(

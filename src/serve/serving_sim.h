@@ -280,7 +280,7 @@ struct ServingStep {
     /// latter it equals the summed cache length of live caches.
     std::size_t cache_tokens = 0;
     /// Page-pool occupancy after the step (used + free == page_budget
-    /// always — the conservation invariant paging_smoke replays).
+    /// always — a conservation invariant serve_test::audit checks).
     std::size_t used_pages = 0;
     std::size_t free_pages = 0;
     /// Requests preempted while scheduling this step. Event counters
@@ -304,6 +304,8 @@ struct ServingStep {
     /// streamed from DRAM (attn_pricing only; otherwise both zero).
     std::uint64_t attn_cycles = 0;
     std::uint64_t kv_bytes = 0;
+
+    bool operator==(const ServingStep &) const = default;
 };
 
 /// Outcome of one simulated serving run.
@@ -387,7 +389,7 @@ struct ServingReport {
     /// as waste.
     double mean_fragmentation() const;
     /// FNV-1a checksum over (id, generated tokens) of every request —
-    /// the determinism fingerprint generation_smoke pins.
+    /// the determinism fingerprint of executed runs.
     std::uint64_t generated_checksum() const;
     /// One-line human-readable summary for logs and CI artifacts: run
     /// totals and the page-pool segment, plus a robustness segment
@@ -490,9 +492,9 @@ int exec_pick_token(std::span<const float> logits, double temperature,
 /// Simulates serving `requests` (any order; scheduled FCFS by arrival
 /// time) on one accelerator configuration. Deterministic in its
 /// arguments. Throws std::invalid_argument on an empty stream, zero
-/// batch/budget options, a zero page size, a request that cannot fit
-/// the page budget, or (execution mode) a request that cannot fit the
-/// executor's max_seq.
+/// batch/budget options, a zero page size, a non-finite arrival time,
+/// a request that cannot fit the page budget, or (execution mode) a
+/// request that cannot fit the executor's max_seq.
 ServingReport simulate_serving(const ModelConfig &model,
                                const AcceleratorConfig &system,
                                const TechParams &tech,

@@ -298,76 +298,80 @@ TEST(KvCacheQuantized, StoreLoadRoundTripsAndGuards)
 
 TEST(PagedKvCacheQuantized, MatchesSlabAndSwapsPacked)
 {
-    SplitMix64 rng(88);
-    const std::size_t d = 96;
-    const KvFormat fmt = KvFormat::bfp(32, 5);
-    KvCache slab(2, d, 64, fmt);
-    KvPagePool pool(2, d, 64, 4, 16, true, fmt);
-    EXPECT_EQ(pool.format(), fmt);
-    EXPECT_EQ(pool.page_bytes(), 2 * 2 * 4 * kv_row_bytes(fmt, d));
-    PagedKvCache paged(pool);
+    // A BFP format and Anda m=7, the quantized format served under a
+    // byte budget.
+    for (const KvFormat &fmt : {KvFormat::bfp(32, 5), KvFormat::anda(7)}) {
+        SCOPED_TRACE(fmt.name());
+        SplitMix64 rng(88);
+        const std::size_t d = 96;
+        KvCache slab(2, d, 64, fmt);
+        KvPagePool pool(2, d, 64, 4, 16, true, fmt);
+        EXPECT_EQ(pool.format(), fmt);
+        EXPECT_EQ(pool.page_bytes(), 2 * 2 * 4 * kv_row_bytes(fmt, d));
+        PagedKvCache paged(pool);
 
-    const std::size_t rows = 23;
-    for (std::size_t r = 0; r < rows; ++r) {
-        const std::vector<float> row = random_row(rng, d);
-        slab.reserve(r + 1);
-        paged.reserve(r + 1);
-        slab.advance(1);
-        paged.advance(1);
-        for (std::size_t l = 0; l < 2; ++l) {
-            slab.store_k(l, r, row);
-            slab.store_v(l, r, row);
-            paged.store_k(l, r, row);
-            paged.store_v(l, r, row);
+        const std::size_t rows = 23;
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::vector<float> row = random_row(rng, d);
+            slab.reserve(r + 1);
+            paged.reserve(r + 1);
+            slab.advance(1);
+            paged.advance(1);
+            for (std::size_t l = 0; l < 2; ++l) {
+                slab.store_k(l, r, row);
+                slab.store_v(l, r, row);
+                paged.store_k(l, r, row);
+                paged.store_v(l, r, row);
+            }
         }
-    }
-    const auto expect_equal = [&]() {
+        const auto expect_equal = [&]() {
+            std::vector<float> a(d);
+            std::vector<float> b(d);
+            for (std::size_t l = 0; l < 2; ++l) {
+                for (std::size_t r = 0; r < rows; ++r) {
+                    slab.load_k(l, r, a);
+                    paged.load_k(l, r, b);
+                    ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
+                    slab.load_v(l, r, a);
+                    paged.load_v(l, r, b);
+                    ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
+                }
+            }
+        };
+        expect_equal();
+        EXPECT_THROW(paged.k_row(0, 0), CheckError);
+
+        // Swap-out serializes the packed bytes (2 * layers * rows *
+        // row_bytes) and the round-trip restores them bit-for-bit.
+        const std::vector<std::byte> swapped = paged.swap_out();
+        EXPECT_EQ(swapped.size(), 2 * 2 * rows * kv_row_bytes(fmt, d));
+        EXPECT_EQ(paged.length(), 0u);
+        EXPECT_EQ(pool.allocator().used_pages(), 0u);
+        paged.swap_in(swapped, rows);
+        expect_equal();
+
+        // Copy-on-extend of a shared packed prefix moves bytes, never
+        // re-quantizes: the adopted rows stay identical after the adopter
+        // extends past the shared page.
+        PagedKvCache child(pool);
+        child.adopt_prefix(paged, 10);
+        child.reserve(15);
+        child.advance(5);
+        const std::vector<float> extra = random_row(rng, d);
+        for (std::size_t l = 0; l < 2; ++l) {
+            for (std::size_t r = 10; r < 15; ++r) {
+                child.store_k(l, r, extra);
+                child.store_v(l, r, extra);
+            }
+        }
         std::vector<float> a(d);
         std::vector<float> b(d);
         for (std::size_t l = 0; l < 2; ++l) {
-            for (std::size_t r = 0; r < rows; ++r) {
-                slab.load_k(l, r, a);
-                paged.load_k(l, r, b);
-                ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
-                slab.load_v(l, r, a);
-                paged.load_v(l, r, b);
+            for (std::size_t r = 0; r < 10; ++r) {
+                paged.load_k(l, r, a);
+                child.load_k(l, r, b);
                 ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
             }
-        }
-    };
-    expect_equal();
-    EXPECT_THROW(paged.k_row(0, 0), CheckError);
-
-    // Swap-out serializes the packed bytes (2 * layers * rows *
-    // row_bytes) and the round-trip restores them bit-for-bit.
-    const std::vector<std::byte> swapped = paged.swap_out();
-    EXPECT_EQ(swapped.size(), 2 * 2 * rows * kv_row_bytes(fmt, d));
-    EXPECT_EQ(paged.length(), 0u);
-    EXPECT_EQ(pool.allocator().used_pages(), 0u);
-    paged.swap_in(swapped, rows);
-    expect_equal();
-
-    // Copy-on-extend of a shared packed prefix moves bytes, never
-    // re-quantizes: the adopted rows stay identical after the adopter
-    // extends past the shared page.
-    PagedKvCache child(pool);
-    child.adopt_prefix(paged, 10);
-    child.reserve(15);
-    child.advance(5);
-    const std::vector<float> extra = random_row(rng, d);
-    for (std::size_t l = 0; l < 2; ++l) {
-        for (std::size_t r = 10; r < 15; ++r) {
-            child.store_k(l, r, extra);
-            child.store_v(l, r, extra);
-        }
-    }
-    std::vector<float> a(d);
-    std::vector<float> b(d);
-    for (std::size_t l = 0; l < 2; ++l) {
-        for (std::size_t r = 0; r < 10; ++r) {
-            paged.load_k(l, r, a);
-            child.load_k(l, r, b);
-            ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
         }
     }
 }

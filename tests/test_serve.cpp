@@ -7,12 +7,18 @@
 // budget, preemption with swap or recompute, prefix reuse) — all of
 // which must leave every emitted token bit-identical to standalone
 // regeneration on a slab cache (serve_test::standalone_tokens).
+// Where a test needs the scheduler's invariants it calls
+// serve_test::audit rather than re-deriving them.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "serve_test_util.h"
 
@@ -23,6 +29,9 @@ using serve_test::exec_opts;
 using serve_test::exec_spec;
 using serve_test::small_spec;
 using serve_test::tiny_executor;
+
+/// audit() output: one line per violated invariant.
+using Violations = std::vector<std::string>;
 
 TEST(RequestStream, DeterministicSortedAndBounded)
 {
@@ -71,6 +80,10 @@ TEST(RequestStream, OfflineRegimeAndValidation)
     bad = small_spec();
     bad.n_requests = -1;
     EXPECT_THROW(generate_requests(bad), std::invalid_argument);
+    // NaN is no rate (rates <= 0 mean a burst).
+    bad = small_spec();
+    bad.arrival_rate = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(generate_requests(bad), std::invalid_argument);
 }
 
 TEST(StepWorkload, FusesPhasesAndDegeneratesToDecode)
@@ -100,6 +113,16 @@ class ServingSimTest : public ::testing::Test {
     {
         return serve_test::run_priced(opts, spec, system);
     }
+    /// serve_test::audit of `report` = run(opts, spec, system).
+    static Violations audit(const ServingReport &report,
+                            const ServingOptions &opts,
+                            const RequestStreamSpec &spec,
+                            const std::string &system = "anda")
+    {
+        return serve_test::audit(report, generate_requests(spec), opts,
+                                 find_model("llama-7b"),
+                                 find_system(system));
+    }
 };
 
 TEST_F(ServingSimTest, AllRequestsFinishWithOrderedTimestamps)
@@ -109,19 +132,15 @@ TEST_F(ServingSimTest, AllRequestsFinishWithOrderedTimestamps)
     opts.max_step_tokens = 64;
     opts.tuple = {8, 7, 7, 6};
     const ServingReport report = run(opts, small_spec());
-    ASSERT_EQ(report.requests.size(), 24u);
+    ASSERT_EQ(report.completed, 24u);
+    // arrival <= admitted < first token <= finish <= makespan, and
+    // peak_batch <= max_batch.
+    EXPECT_EQ(audit(report, opts, small_spec()), Violations{});
     for (const auto &m : report.requests) {
-        EXPECT_GE(m.admitted_s, m.arrival_s) << "id=" << m.id;
-        EXPECT_GT(m.first_token_s, m.admitted_s) << "id=" << m.id;
-        EXPECT_GE(m.finish_s, m.first_token_s) << "id=" << m.id;
-        EXPECT_LE(m.finish_s, report.makespan_s + 1e-12)
-            << "id=" << m.id;
-        EXPECT_GT(m.ttft_s(), 0.0);
         if (m.output_len > 1) {
-            EXPECT_GT(m.decode_s_per_token(), 0.0);
+            EXPECT_GT(m.decode_s_per_token(), 0.0) << "id=" << m.id;
         }
     }
-    EXPECT_LE(report.peak_batch, opts.max_batch);
     EXPECT_GT(report.output_tokens_per_s(), 0.0);
     EXPECT_GE(report.p95_ttft_s(), report.mean_ttft_s() * 0.5);
     EXPECT_FALSE(report.summary().empty());
@@ -133,37 +152,13 @@ TEST_F(ServingSimTest, StepLogConservesTokensAndCycles)
     opts.max_batch = 6;
     opts.max_step_tokens = 48;
     opts.tuple = {8, 7, 7, 6};
-    const RequestStreamSpec spec = small_spec();
-    const ServingReport report = run(opts, spec);
-
-    std::size_t prefill = 0;
-    std::size_t decode = 0;
-    std::uint64_t cycles = 0;
-    const auto &model = find_model("llama-7b");
-    const auto &system = find_system("anda");
-    for (const auto &s : report.steps) {
-        EXPECT_LE(s.running, opts.max_batch);
-        EXPECT_LE(s.decode_tokens, s.running);
-        EXPECT_LE(s.prefill_tokens + s.decode_tokens,
-                  std::max(opts.max_step_tokens, opts.max_batch));
-        EXPECT_GT(s.prefill_tokens + s.decode_tokens, 0u);
-        prefill += s.prefill_tokens;
-        decode += s.decode_tokens;
-        cycles += s.cycles;
-        // Replay: the recorded cost is exactly the hw model's cost of
-        // the recorded token counts.
-        const SystemRun replay = run_workload(
-            system, tech16(),
-            build_step_workload(model, s.prefill_tokens,
-                                s.decode_tokens, opts.tuple));
-        EXPECT_EQ(s.cycles, replay.cycles);
-    }
-    // Every prompt token prefills exactly once; every output token
-    // after the prefill-emitted first one decodes exactly once.
-    EXPECT_EQ(prefill, report.total_prompt_tokens);
-    EXPECT_EQ(decode,
-              report.total_output_tokens - report.requests.size());
-    EXPECT_EQ(cycles, report.total_cycles);
+    // The audit replays every step's cost through the hw model,
+    // bounds its rows by the batch and token budgets, and conserves
+    // tokens: every prompt token prefills once, every output token
+    // after the prefill-emitted first one decodes once.
+    const ServingReport report = run(opts, small_spec());
+    ASSERT_EQ(report.completed, report.requests.size());
+    EXPECT_EQ(audit(report, opts, small_spec()), Violations{});
 }
 
 TEST_F(ServingSimTest, DeterministicAcrossRuns)
@@ -173,7 +168,7 @@ TEST_F(ServingSimTest, DeterministicAcrossRuns)
     opts.max_step_tokens = 32;
     const ServingReport a = run(opts, small_spec());
     const ServingReport b = run(opts, small_spec());
-    ASSERT_EQ(a.steps.size(), b.steps.size());
+    EXPECT_TRUE(a.steps == b.steps);
     EXPECT_EQ(a.total_cycles, b.total_cycles);
     EXPECT_EQ(a.makespan_s, b.makespan_s);
     for (std::size_t i = 0; i < a.requests.size(); ++i) {
@@ -290,27 +285,15 @@ TEST_F(ServingSimTest, PagedOverloadCompletesUnderBudget)
     }
     EXPECT_GE(paged.preemptions, 1u);
     EXPECT_EQ(paged.readmits, paged.preemptions);
-    EXPECT_LE(paged.peak_used_pages, budget);
+    EXPECT_EQ(paged.page_budget, budget);
     EXPECT_LE(paged.peak_cache_tokens, budget_rows);
     for (const auto &s : paged.steps) {
-        EXPECT_EQ(s.used_pages + s.free_pages, budget);
         EXPECT_LE(s.cache_tokens, s.used_pages * 16);
     }
-    EXPECT_GE(paged.mean_fragmentation(), 0.0);
-    EXPECT_LE(paged.mean_fragmentation(), 1.0);
-
-    // Conservation with recompute-policy preemption: every prompt row
+    // Page conservation, fragmentation in [0, 1], and token
+    // conservation with recompute-policy preemption: every prompt row
     // prefills once plus once more per recomputed residency.
-    std::size_t prefill = 0;
-    std::size_t decode = 0;
-    for (const auto &s : paged.steps) {
-        prefill += s.prefill_tokens;
-        decode += s.decode_tokens;
-    }
-    EXPECT_EQ(prefill,
-              paged.total_prompt_tokens + paged.recomputed_tokens);
-    EXPECT_EQ(decode,
-              paged.total_output_tokens - paged.requests.size());
+    EXPECT_EQ(audit(paged, paged_opts(budget), spec), Violations{});
 }
 
 TEST_F(ServingSimTest, PagedSchedulingIsDeterministic)
@@ -323,14 +306,10 @@ TEST_F(ServingSimTest, PagedSchedulingIsDeterministic)
         opts.preempt = policy;
         const ServingReport a = run(opts, spec);
         const ServingReport b = run(opts, spec);
-        ASSERT_EQ(a.steps.size(), b.steps.size());
+        EXPECT_TRUE(a.steps == b.steps);
         EXPECT_EQ(a.total_cycles, b.total_cycles);
         EXPECT_EQ(a.preemptions, b.preemptions);
         EXPECT_EQ(a.summary(), b.summary());
-        for (std::size_t i = 0; i < a.steps.size(); ++i) {
-            EXPECT_EQ(a.steps[i].used_pages, b.steps[i].used_pages);
-            EXPECT_EQ(a.steps[i].preemptions, b.steps[i].preemptions);
-        }
     }
 }
 
@@ -346,14 +325,11 @@ TEST_F(ServingSimTest, SwapPolicyAvoidsRecomputePrefill)
     const ServingReport swp = run(swap, spec);
     ASSERT_GE(rec.preemptions, 1u);
     ASSERT_GE(swp.preemptions, 1u);
-    // Swap restores rows instead of re-prefilling them.
+    // Swap restores rows instead of re-prefilling them, so (the
+    // audit's token conservation) prefill rows are the prompt rows.
     EXPECT_GT(rec.recomputed_tokens, 0u);
     EXPECT_EQ(swp.recomputed_tokens, 0u);
-    std::size_t prefill = 0;
-    for (const auto &s : swp.steps) {
-        prefill += s.prefill_tokens;
-    }
-    EXPECT_EQ(prefill, swp.total_prompt_tokens);
+    EXPECT_EQ(audit(swp, swap, spec), Violations{});
 }
 
 TEST_F(ServingSimTest, PagedValidationRejectsBadBudgets)
@@ -384,10 +360,9 @@ TEST_F(ServingSimTest, DerivedPageBudgetNeverPreempts)
         EXPECT_EQ(x.cycles, y.cycles) << "step " << i;
         EXPECT_EQ(x.prefill_tokens, y.prefill_tokens) << "step " << i;
         EXPECT_EQ(x.decode_tokens, y.decode_tokens) << "step " << i;
-        EXPECT_EQ(x.used_pages + x.free_pages, derived.page_budget)
-            << "step " << i;
     }
     EXPECT_EQ(derived.makespan_s, roomy.makespan_s);
+    EXPECT_EQ(audit(derived, paged_opts(0), spec), Violations{});
     // Pages still need a size.
     ServingOptions bad = paged_opts(0);
     bad.page_size = 0;
@@ -403,6 +378,14 @@ class ServingExecutionTest : public ::testing::Test {
     {
         return serve_test::run_executed(opts, exec_spec());
     }
+    /// serve_test::audit of `report` = run(opts).
+    static Violations audit(const ServingReport &report,
+                            const ServingOptions &opts)
+    {
+        return serve_test::audit(report, generate_requests(exec_spec()),
+                                 opts, tiny_executor().config(),
+                                 find_system("anda"));
+    }
 };
 
 TEST_F(ServingExecutionTest, GeneratesEveryTokenDeterministically)
@@ -411,18 +394,9 @@ TEST_F(ServingExecutionTest, GeneratesEveryTokenDeterministically)
     const ServingReport b = run(exec_opts());
     EXPECT_TRUE(a.executed);
     EXPECT_EQ(a.generated_checksum(), b.generated_checksum());
-    std::size_t generated = 0;
-    for (const auto &m : a.requests) {
-        ASSERT_EQ(m.tokens.size(),
-                  static_cast<std::size_t>(m.output_len))
-            << "id=" << m.id;
-        for (const int t : m.tokens) {
-            EXPECT_GE(t, 0);
-            EXPECT_LT(t, tiny_executor().dims().vocab);
-        }
-        generated += m.tokens.size();
-    }
-    EXPECT_EQ(generated, a.total_output_tokens);
+    // Every request emitted output_len in-vocab tokens.
+    ASSERT_EQ(a.completed, a.requests.size());
+    EXPECT_EQ(audit(a, exec_opts()), Violations{});
     // Different sampling seeds change the generated stream.
     ServingOptions other = exec_opts();
     other.exec_seed = 8;
@@ -437,19 +411,9 @@ TEST_F(ServingExecutionTest, ExecutionDoesNotPerturbPricing)
     const ServingReport priced = run(priced_only);
     const ServingReport executed = run(exec_opts());
     EXPECT_FALSE(priced.executed);
-    for (const auto &m : priced.requests) {
-        EXPECT_TRUE(m.tokens.empty());
-    }
-    ASSERT_EQ(executed.steps.size(), priced.steps.size());
-    for (std::size_t i = 0; i < executed.steps.size(); ++i) {
-        EXPECT_EQ(executed.steps[i].cycles, priced.steps[i].cycles);
-        EXPECT_EQ(executed.steps[i].prefill_tokens,
-                  priced.steps[i].prefill_tokens);
-        EXPECT_EQ(executed.steps[i].decode_tokens,
-                  priced.steps[i].decode_tokens);
-        EXPECT_EQ(executed.steps[i].cache_tokens,
-                  priced.steps[i].cache_tokens);
-    }
+    // Among others: a pricing-only run carries no tokens.
+    EXPECT_EQ(audit(priced, priced_only), Violations{});
+    EXPECT_TRUE(executed.steps == priced.steps);
     EXPECT_EQ(executed.makespan_s, priced.makespan_s);
     EXPECT_EQ(executed.total_cycles, priced.total_cycles);
     EXPECT_EQ(executed.peak_cache_tokens, priced.peak_cache_tokens);
@@ -563,21 +527,59 @@ TEST_F(ServingExecutionTest, PagedExecutionMatchesPricingStepLog)
         EXPECT_EQ(a.reused_prefix_tokens, b.reused_prefix_tokens);
         ASSERT_EQ(a.steps.size(), b.steps.size());
         for (std::size_t i = 0; i < a.steps.size(); ++i) {
-            EXPECT_EQ(a.steps[i].cycles, b.steps[i].cycles);
-            EXPECT_EQ(a.steps[i].prefill_tokens,
-                      b.steps[i].prefill_tokens);
-            EXPECT_EQ(a.steps[i].decode_tokens,
-                      b.steps[i].decode_tokens);
-            EXPECT_EQ(a.steps[i].cache_tokens,
-                      b.steps[i].cache_tokens);
-            EXPECT_EQ(a.steps[i].used_pages, b.steps[i].used_pages);
-            EXPECT_EQ(a.steps[i].free_pages, b.steps[i].free_pages);
-            EXPECT_EQ(a.steps[i].preemptions, b.steps[i].preemptions);
+            EXPECT_TRUE(a.steps[i] == b.steps[i]) << "step " << i;
         }
         EXPECT_EQ(a.makespan_s, b.makespan_s);
         // summary() differs only by the executed-checksum segment.
         EXPECT_NE(a.summary().find("preempt"), std::string::npos);
         EXPECT_NE(b.summary().find("preempt"), std::string::npos);
+    }
+}
+
+TEST_F(ServingExecutionTest, AuditFlagsEveryCorruption)
+{
+    // The audit is not vacuous: a clean preempting run passes, and
+    // each single-field corruption of it is flagged.
+    const ServingOptions opts = paged_exec_opts(12, PreemptPolicy::kSwap);
+    const ServingReport clean = run(opts);
+    ASSERT_GE(clean.preemptions, 1u);
+    ASSERT_EQ(audit(clean, opts), Violations{});
+    const std::size_t mid = clean.steps.size() / 2;
+    const int vocab = tiny_executor().dims().vocab;
+    const std::vector<
+        std::pair<std::string, std::function<void(ServingReport &)>>>
+        corruptions = {
+            {"step used_pages",
+             [&](ServingReport &r) { ++r.steps[mid].used_pages; }},
+            {"step cycles",
+             [&](ServingReport &r) { ++r.steps[mid].cycles; }},
+            {"step start_s",
+             [&](ServingReport &r) {
+                 r.steps[mid].start_s = r.steps[mid - 1].start_s;
+             }},
+            {"step drops", [&](ServingReport &r) { ++r.steps[mid].drops; }},
+            {"report drops", [](ServingReport &r) { ++r.dropped; }},
+            {"peak pages", [](ServingReport &r) { --r.peak_used_pages; }},
+            {"swap bytes", [](ServingReport &r) { ++r.swap_out_bytes; }},
+            {"request outcome",
+             [](ServingReport &r) {
+                 r.requests[3].outcome = RequestOutcome::kShed;
+             }},
+            {"extra token",
+             [](ServingReport &r) { r.requests[3].tokens.push_back(0); }},
+            {"lost token",
+             [](ServingReport &r) { r.requests[3].tokens.pop_back(); }},
+            {"out-of-vocab token",
+             [&](ServingReport &r) { r.requests[3].tokens[0] = vocab; }},
+            {"first token at admission",
+             [](ServingReport &r) {
+                 r.requests[3].first_token_s = r.requests[3].admitted_s;
+             }},
+        };
+    for (const auto &[what, corrupt] : corruptions) {
+        ServingReport bad = clean;
+        corrupt(bad);
+        EXPECT_NE(audit(bad, opts), Violations{}) << what;
     }
 }
 
@@ -592,13 +594,10 @@ TEST_F(ServingExecutionTest, PrefixReuseSkipsPrefillWithoutTokenDrift)
     const ServingReport reuse = run(shared);
     EXPECT_GT(reuse.reused_prefix_tokens, 0u);
     expect_standalone_tokens(reuse, shared);
-    // Adopted rows are never prefilled: conservation picks them up.
-    std::size_t prefill = 0;
-    for (const auto &s : reuse.steps) {
-        prefill += s.prefill_tokens;
-    }
-    EXPECT_EQ(prefill + reuse.reused_prefix_tokens,
-              reuse.total_prompt_tokens + reuse.recomputed_tokens);
+    // Adopted rows are never prefilled: the audit's token
+    // conservation picks them up.
+    ASSERT_EQ(reuse.completed, reuse.requests.size());
+    EXPECT_EQ(audit(reuse, shared), Violations{});
     // And the paged pricing-only twin logs the same reuse.
     ServingOptions priced = shared;
     priced.executor = nullptr;
@@ -627,6 +626,14 @@ TEST_F(ServingSimTest, RejectsDegenerateInputs)
     EXPECT_THROW(
         simulate_serving(model, system, tech16(), zero_len, {}),
         std::invalid_argument);
+    // A NaN arrival never ingests (the loop used to spin forever).
+    for (const double arrival :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        const std::vector<Request> never = {{0, arrival, 4, 4}};
+        EXPECT_THROW(simulate_serving(model, system, tech16(), never, {}),
+                     std::invalid_argument);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -635,31 +642,14 @@ TEST_F(ServingSimTest, RejectsDegenerateInputs)
 
 using serve_test::classed_spec;
 
-/// Field-by-field step-log equality: the strongest no-perturbation
-/// assertion the robustness knobs are held to.
+/// Step-log equality over every field: the strongest
+/// no-perturbation assertion the robustness knobs are held to.
 void
 expect_same_run(const ServingReport &a, const ServingReport &b)
 {
     ASSERT_EQ(a.steps.size(), b.steps.size());
     for (std::size_t i = 0; i < a.steps.size(); ++i) {
-        const ServingStep &x = a.steps[i];
-        const ServingStep &y = b.steps[i];
-        EXPECT_EQ(x.start_s, y.start_s) << "step " << i;
-        EXPECT_EQ(x.cycles, y.cycles) << "step " << i;
-        EXPECT_EQ(x.prefill_tokens, y.prefill_tokens) << "step " << i;
-        EXPECT_EQ(x.decode_tokens, y.decode_tokens) << "step " << i;
-        EXPECT_EQ(x.running, y.running) << "step " << i;
-        EXPECT_EQ(x.cache_tokens, y.cache_tokens) << "step " << i;
-        EXPECT_EQ(x.used_pages, y.used_pages) << "step " << i;
-        EXPECT_EQ(x.free_pages, y.free_pages) << "step " << i;
-        EXPECT_EQ(x.preemptions, y.preemptions) << "step " << i;
-        EXPECT_EQ(x.drops, y.drops) << "step " << i;
-        EXPECT_EQ(x.sheds, y.sheds) << "step " << i;
-        EXPECT_EQ(x.fault_retries, y.fault_retries) << "step " << i;
-        EXPECT_EQ(x.failed, y.failed) << "step " << i;
-        EXPECT_EQ(x.swap_stall_s, y.swap_stall_s) << "step " << i;
-        EXPECT_EQ(x.attn_cycles, y.attn_cycles) << "step " << i;
-        EXPECT_EQ(x.kv_bytes, y.kv_bytes) << "step " << i;
+        EXPECT_TRUE(a.steps[i] == b.steps[i]) << "step " << i;
     }
     EXPECT_EQ(a.makespan_s, b.makespan_s);
     EXPECT_EQ(a.total_cycles, b.total_cycles);
@@ -991,11 +981,8 @@ TEST_F(ServingSimTest, FaultScheduleReplaysAndBudgetFailsTerminally)
     EXPECT_EQ(a.failed, 0u);
     EXPECT_EQ(a.completed, a.requests.size());
     EXPECT_GT(a.makespan_s, clean.makespan_s);
-    std::size_t retries = 0;
-    for (const auto &s : a.steps) {
-        retries += s.fault_retries;
-    }
-    EXPECT_EQ(retries, a.step_faults);
+    // Among others: step fault_retries sum to step_faults.
+    EXPECT_EQ(audit(a, opts, spec), Violations{});
     EXPECT_NE(a.summary().find("fault"), std::string::npos);
 
     // A certain-failure campaign exhausts every retry budget: each
@@ -1036,13 +1023,10 @@ TEST_F(ServingSimTest, SwapTrafficPricingStretchesMakespan)
     EXPECT_GT(b.swap_bytes, 0u);
     EXPECT_GT(b.swap_stall_s, 0.0);
     EXPECT_GT(b.makespan_s, a.makespan_s);
-    // Stall accounting is conserved onto the step log.
-    double step_stall = 0.0;
-    for (const auto &s : b.steps) {
-        step_stall += s.swap_stall_s;
-    }
-    EXPECT_NEAR(step_stall, b.swap_stall_s,
-                1e-12 * (1.0 + b.swap_stall_s));
+    // Stall accounting is conserved onto the step log, and a free
+    // link stalls nothing.
+    EXPECT_EQ(audit(a, free_link, spec), Violations{});
+    EXPECT_EQ(audit(b, priced_link, spec), Violations{});
     // Row pricing: bytes are whole K+V rows of the real model dims.
     const auto &dims = find_model("llama-7b").real;
     const std::uint64_t row =
@@ -1066,18 +1050,9 @@ TEST_F(ServingSimTest, AttnPricingOffReproducesGemmOnlyCostsBitExactly)
     opts.max_step_tokens = 64;
     opts.tuple = {8, 7, 7, 6};
     const ServingReport base = run(opts, small_spec());
-    EXPECT_EQ(base.attn_cycles, 0u);
-    EXPECT_EQ(base.kv_dram_bytes, 0u);
-    for (const auto &s : base.steps) {
-        EXPECT_EQ(s.attn_cycles, 0u);
-        EXPECT_EQ(s.kv_bytes, 0u);
-        const SystemRun replay = run_workload(
-            find_system("anda"), tech16(),
-            build_step_workload(find_model("llama-7b"),
-                                s.prefill_tokens, s.decode_tokens,
-                                opts.tuple));
-        EXPECT_EQ(s.cycles, replay.cycles);
-    }
+    // The audit replays each step against the GeMM-only workload and
+    // requires zero attention cycles and KV bytes with pricing off.
+    EXPECT_EQ(audit(base, opts, small_spec()), Violations{});
     EXPECT_EQ(base.summary().find("attn"), std::string::npos);
     // An explicit false is exactly the default.
     ServingOptions off = opts;
@@ -1101,8 +1076,6 @@ TEST_F(ServingSimTest, AttnPricingAddsContextCostOnTopOfGemmTaps)
     const ServingReport a = run(off, spec);
     const ServingReport b = run(on, spec);
     ASSERT_EQ(a.steps.size(), b.steps.size());
-    std::uint64_t attn = 0;
-    std::uint64_t kv = 0;
     for (std::size_t i = 0; i < a.steps.size(); ++i) {
         EXPECT_EQ(b.steps[i].prefill_tokens, a.steps[i].prefill_tokens)
             << "step " << i;
@@ -1114,12 +1087,10 @@ TEST_F(ServingSimTest, AttnPricingAddsContextCostOnTopOfGemmTaps)
         // Every scheduled row attends >= 1 K/V row.
         EXPECT_GT(b.steps[i].attn_cycles, 0u) << "step " << i;
         EXPECT_GT(b.steps[i].kv_bytes, 0u) << "step " << i;
-        attn += b.steps[i].attn_cycles;
-        kv += b.steps[i].kv_bytes;
     }
-    EXPECT_EQ(b.attn_cycles, attn);
-    EXPECT_EQ(b.kv_dram_bytes, kv);
-    EXPECT_EQ(b.total_cycles, a.total_cycles + attn);
+    // The audit sums the step attention onto the report totals.
+    EXPECT_EQ(audit(b, on, spec), Violations{});
+    EXPECT_EQ(b.total_cycles, a.total_cycles + b.attn_cycles);
     EXPECT_GT(b.makespan_s, a.makespan_s);
     EXPECT_NE(b.summary().find("attn"), std::string::npos);
 }
@@ -1129,10 +1100,11 @@ TEST_F(ServingSimTest, SeededKnobSpacePricingParity)
     // simulate_serving prices each fused tap shape once per call and
     // attention per step. Over seeded draws of the scheduling knobs —
     // tight byte budgets (preemption, swaps), step faults (retries
-    // reprice), drop deadlines (the min-step bound) — every logged
-    // step's tap share must equal a fresh, unshared reprice of its
-    // shape. The two systems alternate, so a memo leaking across
-    // calls would misprice the next draw.
+    // reprice), drop deadlines (the min-step bound) — every report
+    // must pass the audit, whose replay holds each logged step's tap
+    // share to a fresh, unshared reprice of its shape. The two
+    // systems alternate, so a memo leaking across calls would
+    // misprice the next draw.
     const auto &model = find_model("llama-7b");
     const auto d_model = static_cast<std::size_t>(model.real.d_model);
     const auto n_layers = static_cast<std::size_t>(model.real.n_layers);
@@ -1189,20 +1161,10 @@ TEST_F(ServingSimTest, SeededKnobSpacePricingParity)
         const ServingReport report = simulate_serving(
             model, find_system(system), tech16(), requests, opts);
         ASSERT_FALSE(report.steps.empty()) << "draw " << draw;
-        for (std::size_t i = 0; i < report.steps.size(); ++i) {
-            const ServingStep &s = report.steps[i];
-            const SystemRun fresh = run_workload(
-                find_system(system), tech16(),
-                build_step_workload(model, s.prefill_tokens,
-                                    s.decode_tokens, opts.tuple));
-            ASSERT_GE(s.cycles, s.attn_cycles);
-            EXPECT_EQ(s.cycles - s.attn_cycles, fresh.cycles)
-                << "draw " << draw << " step " << i;
-            if (!opts.attn_pricing) {
-                EXPECT_EQ(s.attn_cycles, 0u)
-                    << "draw " << draw << " step " << i;
-            }
-        }
+        EXPECT_EQ(serve_test::audit(report, requests, opts, model,
+                                    find_system(system)),
+                  Violations{})
+            << "draw " << draw;
         preempted += report.preemptions > 0 ? 1 : 0;
         faulted += report.step_faults > 0 ? 1 : 0;
         attn_on += opts.attn_pricing ? 1 : 0;
@@ -1272,22 +1234,14 @@ TEST_F(ServingExecutionTest, AttnPricingKeepsExecutionParityAndTokens)
     priced.executor = nullptr;
     const ServingReport twin =
         serve_test::run_executed(priced, exec_spec());
-    // Field-by-field parity; the summaries differ only by the
-    // executed-checksum segment, so compare them with it stripped.
+    // Step-log parity over every field; the summaries differ only by
+    // the executed-checksum segment, so compare them with it stripped.
     std::string a_sum = executed.summary();
     a_sum.resize(a_sum.find("; executed checksum"));
     std::string b_sum = twin.summary();
     b_sum.resize(b_sum.find('\n'));
     EXPECT_EQ(a_sum, b_sum);
-    ASSERT_EQ(executed.steps.size(), twin.steps.size());
-    for (std::size_t i = 0; i < executed.steps.size(); ++i) {
-        EXPECT_EQ(executed.steps[i].cycles, twin.steps[i].cycles);
-        EXPECT_EQ(executed.steps[i].attn_cycles,
-                  twin.steps[i].attn_cycles);
-        EXPECT_EQ(executed.steps[i].kv_bytes, twin.steps[i].kv_bytes);
-        EXPECT_EQ(executed.steps[i].cache_tokens,
-                  twin.steps[i].cache_tokens);
-    }
+    EXPECT_TRUE(executed.steps == twin.steps);
     EXPECT_EQ(executed.makespan_s, twin.makespan_s);
     EXPECT_EQ(executed.total_cycles, twin.total_cycles);
     EXPECT_EQ(executed.attn_cycles, twin.attn_cycles);
