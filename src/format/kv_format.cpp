@@ -404,19 +404,18 @@ pack_row(const KvFormat &fmt, std::span<const float> row,
 {
     ANDA_DCHECK_EQ(out.size(), kv_row_bytes(fmt, row.size()),
                    "packed KV row span size mismatch");
-    std::fill(out.begin(), out.end(), std::byte{0});
-    switch (fmt.kind) {
-    case KvKind::kFp32:
+    if (fmt.kind == KvKind::kFp32) {
         // Raw float bytes — no FP16 rounding, so an FP32 cache stores
-        // exactly what the legacy float storage did.
+        // exactly the floats it was given.
         std::memcpy(out.data(), row.data(), 4 * row.size());
-        break;
-    case KvKind::kBfp:
+        return;
+    }
+    // The quantized packers fill zeroed bytes field by field.
+    std::fill(out.begin(), out.end(), std::byte{0});
+    if (fmt.kind == KvKind::kBfp) {
         pack_bfp(fmt, row, out, serial);
-        break;
-    case KvKind::kAnda:
+    } else {
         pack_anda(fmt, row, out, serial);
-        break;
     }
 }
 

@@ -9,8 +9,8 @@
 /// (Harmonia / M-ANT push BFP group quantization into exactly this
 /// path). KvFormat selects how one d_model-wide K or V row is stored:
 ///
-///  * kFp32 — raw float bytes; pack/unpack are copies and every layer
-///    above degenerates to the legacy behavior bit-for-bit.
+///  * kFp32 — raw float bytes; pack/unpack are copies, so a cache in
+///    FP32 holds the exact floats and attention reads them in place.
 ///  * kBfp  — per group of `group_size` values: one shared-exponent
 ///    byte followed by (1 + mantissa_bits)-bit sign|mantissa fields
 ///    bit-packed LSB-first (encode semantics of format/bfp.h).
@@ -39,7 +39,7 @@ namespace anda {
 
 /// Storage kind of cached K/V rows.
 enum class KvKind {
-    kFp32,  ///< Raw float32 rows (legacy; the default everywhere).
+    kFp32,  ///< Raw float32 rows (the default everywhere).
     kBfp,   ///< Grouped BFP, bit-packed sign|mantissa fields.
     kAnda,  ///< Bit-plane transposed Anda groups of 64.
 };

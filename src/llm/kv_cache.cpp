@@ -15,190 +15,56 @@ constexpr std::size_t kMinCapacity = 16;
 
 }  // namespace
 
+KvRows::KvRows(std::size_t n_layers, std::size_t d_model, KvFormat fmt,
+               std::size_t slots)
+    : d_model_(d_model),
+      fmt_(fmt),
+      row_bytes_(kv_row_bytes(fmt, d_model)),
+      blocks_(2 * n_layers)
+{
+    kv_validate(fmt_);
+    grow(slots);
+}
+
+void
+KvRows::grow(std::size_t slots)
+{
+    const std::size_t words =
+        (slots * row_bytes_ + sizeof(float) - 1) / sizeof(float);
+    for (std::vector<float> &block : blocks_) {
+        // reserve() first: resize() alone may over-allocate.
+        block.reserve(words);
+        block.resize(words);
+    }
+    slots_ = slots;
+}
+
 KvCache::KvCache(std::size_t n_layers, std::size_t d_model,
                  std::size_t max_seq, KvFormat fmt)
-    : n_layers_(n_layers),
-      d_model_(d_model),
-      max_seq_(max_seq),
-      fmt_(fmt),
-      row_bytes_(kv_row_bytes(fmt, d_model))
+    : rows_(n_layers, d_model, fmt), max_seq_(max_seq)
 {
     ANDA_CHECK(n_layers > 0 && d_model > 0 && max_seq > 0,
                "degenerate KvCache dimensions");
-    kv_validate(fmt_);
-    if (fmt_.quantized()) {
-        kq_.resize(n_layers_);
-        vq_.resize(n_layers_);
-    } else {
-        k_.resize(n_layers_);
-        v_.resize(n_layers_);
-    }
 }
 
 void
 KvCache::reserve(std::size_t rows)
 {
     ANDA_CHECK_LE(rows, max_seq_, "KvCache: sequence exceeds max_seq");
-    if (rows <= capacity_) {
+    if (rows <= capacity()) {
         return;
     }
     const std::size_t grown =
-        std::max({rows, 2 * capacity_, kMinCapacity});
-    const std::size_t new_cap = std::min(grown, max_seq_);
-    ANDA_DCHECK_GE(new_cap, rows);
-    if (fmt_.quantized()) {
-        // Packed rows are fixed-width, so a resize preserves the
-        // committed prefix in place.
-        for (std::size_t l = 0; l < n_layers_; ++l) {
-            kq_[l].resize(new_cap * row_bytes_);
-            vq_[l].resize(new_cap * row_bytes_);
-        }
-    } else {
-        for (std::size_t l = 0; l < n_layers_; ++l) {
-            Matrix nk(new_cap, d_model_);
-            Matrix nv(new_cap, d_model_);
-            for (std::size_t r = 0; r < length_; ++r) {
-                const auto ks = k_[l].row(r);
-                const auto vs = v_[l].row(r);
-                std::copy(ks.begin(), ks.end(), nk.row(r).begin());
-                std::copy(vs.begin(), vs.end(), nv.row(r).begin());
-            }
-            k_[l] = std::move(nk);
-            v_[l] = std::move(nv);
-        }
-    }
-    capacity_ = new_cap;
+        std::max({rows, 2 * capacity(), kMinCapacity});
+    rows_.grow(std::min(grown, max_seq_));
 }
 
 void
 KvCache::advance(std::size_t n)
 {
-    ANDA_CHECK_LE(length_ + n, capacity_,
+    ANDA_CHECK_LE(length_ + n, capacity(),
                   "KvCache: advance past allocated capacity");
     length_ += n;
-}
-
-void
-KvCache::release()
-{
-    length_ = 0;
-    capacity_ = 0;
-    for (std::size_t l = 0; l < k_.size(); ++l) {
-        k_[l] = Matrix();
-        v_[l] = Matrix();
-    }
-    for (std::size_t l = 0; l < kq_.size(); ++l) {
-        kq_[l].clear();
-        kq_[l].shrink_to_fit();
-        vq_[l].clear();
-        vq_[l].shrink_to_fit();
-    }
-}
-
-void
-KvCache::store_k(std::size_t layer, std::size_t pos,
-                 std::span<const float> row)
-{
-    ANDA_DCHECK_EQ(row.size(), d_model_, "KvCache: bad K row width");
-    if (fmt_.quantized()) {
-        kv_pack_row(fmt_, row,
-                    std::span<std::byte>(
-                        kq_[layer].data() + pos * row_bytes_,
-                        row_bytes_));
-    } else {
-        const auto dst = k_[layer].row(pos);
-        std::copy(row.begin(), row.end(), dst.begin());
-    }
-}
-
-void
-KvCache::store_v(std::size_t layer, std::size_t pos,
-                 std::span<const float> row)
-{
-    ANDA_DCHECK_EQ(row.size(), d_model_, "KvCache: bad V row width");
-    if (fmt_.quantized()) {
-        kv_pack_row(fmt_, row,
-                    std::span<std::byte>(
-                        vq_[layer].data() + pos * row_bytes_,
-                        row_bytes_));
-    } else {
-        const auto dst = v_[layer].row(pos);
-        std::copy(row.begin(), row.end(), dst.begin());
-    }
-}
-
-void
-KvCache::load_k(std::size_t layer, std::size_t pos,
-                std::span<float> out) const
-{
-    ANDA_DCHECK_EQ(out.size(), d_model_, "KvCache: bad K row width");
-    if (fmt_.quantized()) {
-        kv_unpack_row(fmt_, packed_k_row(layer, pos), out);
-    } else {
-        const auto src = k_[layer].row(pos);
-        std::copy(src.begin(), src.end(), out.begin());
-    }
-}
-
-void
-KvCache::load_v(std::size_t layer, std::size_t pos,
-                std::span<float> out) const
-{
-    ANDA_DCHECK_EQ(out.size(), d_model_, "KvCache: bad V row width");
-    if (fmt_.quantized()) {
-        kv_unpack_row(fmt_, packed_v_row(layer, pos), out);
-    } else {
-        const auto src = v_[layer].row(pos);
-        std::copy(src.begin(), src.end(), out.begin());
-    }
-}
-
-std::span<float>
-KvCache::k_row(std::size_t layer, std::size_t pos)
-{
-    ANDA_CHECK(!fmt_.quantized(),
-               "KvCache: float row view of a quantized cache");
-    return k_[layer].row(pos);
-}
-
-std::span<float>
-KvCache::v_row(std::size_t layer, std::size_t pos)
-{
-    ANDA_CHECK(!fmt_.quantized(),
-               "KvCache: float row view of a quantized cache");
-    return v_[layer].row(pos);
-}
-
-std::span<const float>
-KvCache::k_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_CHECK(!fmt_.quantized(),
-               "KvCache: float row view of a quantized cache");
-    return k_[layer].row(pos);
-}
-
-std::span<const float>
-KvCache::v_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_CHECK(!fmt_.quantized(),
-               "KvCache: float row view of a quantized cache");
-    return v_[layer].row(pos);
-}
-
-std::span<const std::byte>
-KvCache::packed_k_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_CHECK(fmt_.quantized(),
-               "KvCache: packed row view of an FP32 cache");
-    return {kq_[layer].data() + pos * row_bytes_, row_bytes_};
-}
-
-std::span<const std::byte>
-KvCache::packed_v_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_CHECK(fmt_.quantized(),
-               "KvCache: packed row view of an FP32 cache");
-    return {vq_[layer].data() + pos * row_bytes_, row_bytes_};
 }
 
 void

@@ -3,27 +3,74 @@
 /// @file
 /// Per-sequence key/value caches for incremental decode.
 ///
-/// KvSeq is the storage-layout interface the transformer decodes
-/// against: one cached sequence exposing committed length, growth, and
-/// row-level K/V access per layer. Two layouts implement it — the slab
-/// KvCache below (one contiguous per-layer block per sequence, grown
-/// geometrically) and the paged PagedKvCache (llm/kv_pages.h; fixed
-/// pages from a shared refcounted pool, prefix sharing, preemption
-/// support). Because the transformer only ever reads and writes single
-/// rows, decode is bit-identical across layouts. A BatchKvCache is a
-/// non-owning view packing B independent sequences so one ragged decode
-/// step (one new token per sequence, heterogeneous cache lengths) can
-/// run through the same fused GeMM taps as prefill — see
+/// KvRows is the one row store behind every cache: the K and V rows of
+/// all layers in one KvFormat, addressed by storage slot. KvSeq is the
+/// interface the transformer decodes against: one cached sequence
+/// exposing committed length, growth, and row-level K/V access per
+/// layer. Two layouts implement it, and they differ only in how a
+/// logical row maps to a slot — the slab KvCache below (its own store,
+/// slot = row, grown geometrically) and the paged PagedKvCache
+/// (llm/kv_pages.h; a page table into a shared refcounted pool, with
+/// prefix sharing and preemption support). Row access is written once,
+/// in KvSeq, so decode is bit-identical across layouts. A BatchKvCache
+/// is a non-owning view packing B independent sequences so one ragged
+/// decode step (one new token per sequence, heterogeneous cache
+/// lengths) can run through the same fused GeMM taps as prefill — see
 /// Transformer::decode_step.
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "common/matrix.h"
+#include "common/check.h"
 #include "format/kv_format.h"
 
 namespace anda {
+
+/// The K and V rows of every layer in one KvFormat: per (tensor,
+/// layer) a block of slots() rows of row_bytes() =
+/// kv_row_bytes(format, d_model) bytes each, unpadded. Blocks are
+/// float words, so an FP32 row is its own float image (attended in
+/// place, no copy) and every packed row aliases its block legally as
+/// bytes.
+class KvRows {
+  public:
+    static constexpr std::size_t kK = 0;
+    static constexpr std::size_t kV = 1;
+
+    KvRows(std::size_t n_layers, std::size_t d_model, KvFormat fmt,
+           std::size_t slots = 0);
+
+    std::size_t n_layers() const { return blocks_.size() / 2; }
+    std::size_t d_model() const { return d_model_; }
+    const KvFormat &format() const { return fmt_; }
+    std::size_t row_bytes() const { return row_bytes_; }
+    std::size_t slots() const { return slots_; }
+
+    /// Grows every block to `slots` rows, allocating exactly that and
+    /// keeping the rows already stored (rows are fixed-width).
+    void grow(std::size_t slots);
+
+    /// Packed bytes of one row of `tensor` (kK or kV). Throws
+    /// anda::CheckError for a slot outside the store — including any
+    /// slot of an accounting-only paged pool, which stores none.
+    std::span<std::byte> row(std::size_t tensor, std::size_t layer,
+                             std::size_t slot)
+    {
+        ANDA_CHECK_LT(slot, slots_, "KvRows: slot outside the store");
+        std::byte *block = reinterpret_cast<std::byte *>(
+            blocks_[2 * layer + tensor].data());
+        return {block + slot * row_bytes_, row_bytes_};
+    }
+
+  private:
+    std::size_t d_model_ = 0;
+    KvFormat fmt_;
+    std::size_t row_bytes_ = 0;
+    std::size_t slots_ = 0;
+    /// Block of (tensor, layer) at [2 * layer + tensor].
+    std::vector<std::vector<float>> blocks_;
+};
 
 /// One cached sequence: committed K/V rows across all layers, with
 /// row-level access so the attention gather and the append path do not
@@ -36,6 +83,9 @@ namespace anda {
 /// same-step reads of freshly appended rows — observes the same
 /// values, so decode remains invariant to prefill chunking and to the
 /// slab/paged layout choice for every format, not just FP32.
+///
+/// Every row accessor resolves its row with one virtual locate() — the
+/// only layout-specific part of row access.
 class KvSeq {
   public:
     virtual ~KvSeq() = default;
@@ -57,135 +107,159 @@ class KvSeq {
     /// std::runtime_error when the backing pool is exhausted).
     virtual void reserve(std::size_t rows) = 0;
 
-    /// Commits `n` rows appended past length() via k_row()/v_row()
+    /// Commits `n` rows appended past length() via store_k()/store_v()
     /// writes. The rows must already fit (reserve first).
     virtual void advance(std::size_t n) = 0;
 
     /// Packs `row` (d_model floats) into row `pos` of the layer's K/V
-    /// block in the cache's format. Rows [0, length()) are committed;
-    /// rows past length() are scratch for the step in flight (up to
-    /// the reserved capacity). In FP32 this is a plain copy, so the
-    /// legacy float path is preserved bit-for-bit.
-    virtual void store_k(std::size_t layer, std::size_t pos,
-                         std::span<const float> row) = 0;
-    virtual void store_v(std::size_t layer, std::size_t pos,
-                         std::span<const float> row) = 0;
+    /// block in the cache's format (a plain copy in FP32). Rows
+    /// [0, length()) are committed; rows past length() are scratch for
+    /// the step in flight (up to the reserved capacity).
+    void store_k(std::size_t layer, std::size_t pos,
+                 std::span<const float> row)
+    {
+        store(KvRows::kK, layer, pos, row);
+    }
+    void store_v(std::size_t layer, std::size_t pos,
+                 std::span<const float> row)
+    {
+        store(KvRows::kV, layer, pos, row);
+    }
 
     /// Unpacks row `pos` back to float32 into `out` (d_model floats) —
     /// the values attention computes on.
-    virtual void load_k(std::size_t layer, std::size_t pos,
-                        std::span<float> out) const = 0;
-    virtual void load_v(std::size_t layer, std::size_t pos,
-                        std::span<float> out) const = 0;
+    void load_k(std::size_t layer, std::size_t pos,
+                std::span<float> out) const
+    {
+        load(KvRows::kK, layer, pos, out);
+    }
+    void load_v(std::size_t layer, std::size_t pos,
+                std::span<float> out) const
+    {
+        load(KvRows::kV, layer, pos, out);
+    }
 
-    /// Direct float views of row `pos` — FP32 layouts only (throws on
-    /// a quantized cache, whose rows have no in-place float image).
-    /// Quantization-agnostic callers use store_/load_ above.
-    virtual std::span<float> k_row(std::size_t layer,
-                                   std::size_t pos) = 0;
-    virtual std::span<float> v_row(std::size_t layer,
-                                   std::size_t pos) = 0;
-    virtual std::span<const float> k_row(std::size_t layer,
-                                         std::size_t pos) const = 0;
-    virtual std::span<const float> v_row(std::size_t layer,
-                                         std::size_t pos) const = 0;
+    /// In-place float views of row `pos` — FP32 caches only (throws on
+    /// a quantized cache, whose rows have no float image).
+    /// Format-agnostic callers use store_/load_ above.
+    std::span<float> k_row(std::size_t layer, std::size_t pos)
+    {
+        return float_row(KvRows::kK, layer, pos);
+    }
+    std::span<float> v_row(std::size_t layer, std::size_t pos)
+    {
+        return float_row(KvRows::kV, layer, pos);
+    }
+    std::span<const float> k_row(std::size_t layer,
+                                 std::size_t pos) const
+    {
+        return float_row(KvRows::kK, layer, pos);
+    }
+    std::span<const float> v_row(std::size_t layer,
+                                 std::size_t pos) const
+    {
+        return float_row(KvRows::kV, layer, pos);
+    }
+
+    /// Stored bytes of row `pos` in the cache's format (an FP32 row's
+    /// bytes are exactly its k_row/v_row floats).
+    std::span<const std::byte> packed_k_row(std::size_t layer,
+                                            std::size_t pos) const
+    {
+        return bytes(KvRows::kK, layer, pos);
+    }
+    std::span<const std::byte> packed_v_row(std::size_t layer,
+                                            std::size_t pos) const
+    {
+        return bytes(KvRows::kV, layer, pos);
+    }
+
+  protected:
+    /// Where logical row `pos` is stored.
+    struct Slot {
+        KvRows *rows;
+        std::size_t index;
+    };
+    virtual Slot locate(std::size_t pos) const = 0;
+
+    /// Stored bytes of row `pos` of `tensor` (KvRows::kK or kV).
+    std::span<std::byte> bytes(std::size_t tensor, std::size_t layer,
+                               std::size_t pos) const
+    {
+        const Slot s = locate(pos);
+        return s.rows->row(tensor, layer, s.index);
+    }
+
+  private:
+    // Defined inline so a row access costs the one locate() call.
+    void store(std::size_t tensor, std::size_t layer, std::size_t pos,
+               std::span<const float> row)
+    {
+        const Slot s = locate(pos);
+        kv_pack_row(s.rows->format(), row,
+                    s.rows->row(tensor, layer, s.index));
+    }
+    void load(std::size_t tensor, std::size_t layer, std::size_t pos,
+              std::span<float> out) const
+    {
+        const Slot s = locate(pos);
+        kv_unpack_row(s.rows->format(),
+                      s.rows->row(tensor, layer, s.index), out);
+    }
+    std::span<float> float_row(std::size_t tensor, std::size_t layer,
+                               std::size_t pos) const
+    {
+        const Slot s = locate(pos);
+        ANDA_CHECK(!s.rows->format().quantized(),
+                   "KvSeq: float row view of a quantized cache");
+        // An FP32 row is d_model floats of its float-word block.
+        return {reinterpret_cast<float *>(
+                    s.rows->row(tensor, layer, s.index).data()),
+                s.rows->d_model()};
+    }
 };
 
-/// Slab layout: per-layer [capacity x d_model] K and V row blocks, of
-/// which the first length() rows are committed. Storage grows
+/// Slab layout: one KvRows of capacity() slots, of which the first
+/// length() rows are committed (slot = row). Storage grows
 /// geometrically on demand from the actual prefix length (a cache
 /// never eagerly reserves max_seq rows — with max_batch concurrent
-/// sequences that would be prohibitive), and the committed length /
-/// allocated capacity are first-class accounting the serving
-/// scheduler reads as state.
+/// sequences that would be prohibitive).
 class KvCache final : public KvSeq {
   public:
     /// An empty cache for a model with `n_layers` layers, head
     /// dimension summing to `d_model`, and a hard `max_seq` row bound,
-    /// storing rows in `fmt` (FP32 keeps the legacy float slabs;
-    /// quantized formats store packed bytes). Allocates nothing until
-    /// reserve() is called.
+    /// storing rows in `fmt`. Allocates nothing until reserve() is
+    /// called.
     KvCache(std::size_t n_layers, std::size_t d_model,
             std::size_t max_seq, KvFormat fmt = KvFormat::fp32());
 
-    std::size_t n_layers() const override { return n_layers_; }
-    std::size_t d_model() const override { return d_model_; }
+    std::size_t n_layers() const override { return rows_.n_layers(); }
+    std::size_t d_model() const override { return rows_.d_model(); }
     std::size_t max_seq() const override { return max_seq_; }
     std::size_t length() const override { return length_; }
-    const KvFormat &format() const override { return fmt_; }
+    const KvFormat &format() const override { return rows_.format(); }
 
     /// Allocated rows per layer (>= length()).
-    std::size_t capacity() const { return capacity_; }
-    /// Allocated floats across all layers (K and V) at the logical
-    /// d_model width — the token-capacity quantity the serving
-    /// scheduler budgets against when it counts in rows.
-    std::size_t allocated_floats() const
-    {
-        return 2 * n_layers_ * capacity_ * d_model_;
-    }
+    std::size_t capacity() const { return rows_.slots(); }
     /// Packed bytes of one K or V row in this cache's format.
-    std::size_t row_bytes() const { return row_bytes_; }
-    /// Physically allocated bytes across all layers (K and V) — what
-    /// a byte budget is charged.
-    std::size_t allocated_bytes() const
-    {
-        return 2 * n_layers_ * capacity_ * row_bytes_;
-    }
+    std::size_t row_bytes() const { return rows_.row_bytes(); }
 
     /// Growth is geometric (capacity at least doubles) so a decode
     /// loop performs O(log max_seq) copies.
     void reserve(std::size_t rows) override;
     void advance(std::size_t n) override;
 
-    /// Forgets the committed tokens; allocated storage is kept for
-    /// reuse.
-    void clear() { length_ = 0; }
-    /// Frees all storage and resets the length (slot recycling).
-    void release();
-
-    void store_k(std::size_t layer, std::size_t pos,
-                 std::span<const float> row) override;
-    void store_v(std::size_t layer, std::size_t pos,
-                 std::span<const float> row) override;
-    void load_k(std::size_t layer, std::size_t pos,
-                std::span<float> out) const override;
-    void load_v(std::size_t layer, std::size_t pos,
-                std::span<float> out) const override;
-
-    std::span<float> k_row(std::size_t layer, std::size_t pos) override;
-    std::span<float> v_row(std::size_t layer, std::size_t pos) override;
-    std::span<const float> k_row(std::size_t layer,
-                                 std::size_t pos) const override;
-    std::span<const float> v_row(std::size_t layer,
-                                 std::size_t pos) const override;
-
-    /// Raw packed bytes of one row (quantized layouts; tests).
-    std::span<const std::byte> packed_k_row(std::size_t layer,
-                                            std::size_t pos) const;
-    std::span<const std::byte> packed_v_row(std::size_t layer,
-                                            std::size_t pos) const;
-
-    /// Whole-block views of the FP32 slab layout (tests and tools).
-    Matrix &k(std::size_t layer) { return k_[layer]; }
-    Matrix &v(std::size_t layer) { return v_[layer]; }
-    const Matrix &k(std::size_t layer) const { return k_[layer]; }
-    const Matrix &v(std::size_t layer) const { return v_[layer]; }
+  protected:
+    Slot locate(std::size_t pos) const override
+    {
+        // The store is only written through the non-const accessors.
+        return {const_cast<KvRows *>(&rows_), pos};
+    }
 
   private:
-    std::size_t n_layers_ = 0;
-    std::size_t d_model_ = 0;
+    KvRows rows_;
     std::size_t max_seq_ = 0;
     std::size_t length_ = 0;
-    std::size_t capacity_ = 0;
-    KvFormat fmt_;
-    std::size_t row_bytes_ = 0;
-    /// FP32 layout: per-layer float slabs (empty when quantized).
-    std::vector<Matrix> k_;
-    std::vector<Matrix> v_;
-    /// Quantized layout: per-layer packed slabs of capacity_ rows of
-    /// row_bytes_ bytes each (empty when FP32).
-    std::vector<std::vector<std::byte>> kq_;
-    std::vector<std::vector<std::byte>> vq_;
 };
 
 /// Non-owning view packing B independent per-sequence caches into one

@@ -1,7 +1,6 @@
 #include "llm/kv_pages.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/check.h"
 
@@ -95,37 +94,15 @@ KvPagePool::KvPagePool(std::size_t n_layers, std::size_t d_model,
                        std::size_t max_seq, std::size_t page_size,
                        std::size_t n_pages, bool with_storage,
                        KvFormat fmt)
-    : n_layers_(n_layers),
-      d_model_(d_model),
-      max_seq_(max_seq),
+    : max_seq_(max_seq),
       page_size_(page_size),
-      fmt_(fmt),
-      row_bytes_(kv_row_bytes(fmt, d_model)),
-      storage_(with_storage),
-      alloc_(n_pages)
+      alloc_(n_pages),
+      rows_(n_layers, d_model, fmt,
+            with_storage ? n_pages * page_size : 0)
 {
     ANDA_CHECK(n_layers > 0 && d_model > 0 && max_seq > 0 &&
                    page_size > 0,
                "degenerate KvPagePool dimensions");
-    kv_validate(fmt_);
-    if (!with_storage) {
-        return;
-    }
-    if (fmt_.quantized()) {
-        kq_.resize(n_layers);
-        vq_.resize(n_layers);
-        for (std::size_t l = 0; l < n_layers; ++l) {
-            kq_[l].resize(n_pages * page_size * row_bytes_);
-            vq_[l].resize(n_pages * page_size * row_bytes_);
-        }
-    } else {
-        k_.reserve(n_layers);
-        v_.reserve(n_layers);
-        for (std::size_t l = 0; l < n_layers; ++l) {
-            k_.emplace_back(n_pages * page_size, d_model);
-            v_.emplace_back(n_pages * page_size, d_model);
-        }
-    }
 }
 
 PagedKvCache::PagedKvCache(KvPagePool &pool) : pool_(&pool) {}
@@ -136,33 +113,17 @@ PagedKvCache::~PagedKvCache()
 }
 
 std::size_t
-PagedKvCache::n_layers() const
-{
-    return pool_->n_layers();
-}
-
-std::size_t
-PagedKvCache::d_model() const
-{
-    return pool_->d_model();
-}
-
-std::size_t
-PagedKvCache::max_seq() const
-{
-    return pool_->max_seq();
-}
-
-const KvFormat &
-PagedKvCache::format() const
-{
-    return pool_->format();
-}
-
-std::size_t
 PagedKvCache::capacity() const
 {
     return table_.size() * pool_->page_size();
+}
+
+KvSeq::Slot
+PagedKvCache::locate(std::size_t pos) const
+{
+    const std::size_t ps = pool_->page_size();
+    ANDA_DCHECK_LT(pos / ps, table_.size(), "row past the mapped pages");
+    return {&pool_->rows(), table_[pos / ps] * ps + pos % ps};
 }
 
 std::size_t
@@ -223,29 +184,14 @@ PagedKvCache::reserve(std::size_t rows)
         const PageId shared = table_.back();
         const PageId priv = alloc.alloc();
         if (pool_->with_storage()) {
-            const bool quant = pool_->format().quantized();
-            for (std::size_t l = 0; l < pool_->n_layers(); ++l) {
-                for (std::size_t s = 0; s < length_ % ps; ++s) {
-                    if (quant) {
-                        // Packed rows move byte-for-byte — CoW never
-                        // re-quantizes.
-                        const auto ks =
-                            pool_->k_slot_bytes(l, shared, s);
-                        const auto vs =
-                            pool_->v_slot_bytes(l, shared, s);
-                        std::copy(
-                            ks.begin(), ks.end(),
-                            pool_->k_slot_bytes(l, priv, s).begin());
-                        std::copy(
-                            vs.begin(), vs.end(),
-                            pool_->v_slot_bytes(l, priv, s).begin());
-                    } else {
-                        const auto ks = pool_->k_slot(l, shared, s);
-                        const auto vs = pool_->v_slot(l, shared, s);
-                        std::copy(ks.begin(), ks.end(),
-                                  pool_->k_slot(l, priv, s).begin());
-                        std::copy(vs.begin(), vs.end(),
-                                  pool_->v_slot(l, priv, s).begin());
+            // Packed rows move byte-for-byte — CoW never re-quantizes.
+            KvRows &kv = pool_->rows();
+            for (std::size_t l = 0; l < n_layers(); ++l) {
+                for (const std::size_t t : {KvRows::kK, KvRows::kV}) {
+                    for (std::size_t s = 0; s < length_ % ps; ++s) {
+                        const auto src = kv.row(t, l, shared * ps + s);
+                        std::copy(src.begin(), src.end(),
+                                  kv.row(t, l, priv * ps + s).begin());
                     }
                 }
             }
@@ -276,116 +222,6 @@ PagedKvCache::advance(std::size_t n)
 }
 
 void
-PagedKvCache::store_k(std::size_t layer, std::size_t pos,
-                      std::span<const float> row)
-{
-    ANDA_DCHECK(pool_->with_storage());
-    const std::size_t ps = pool_->page_size();
-    if (pool_->format().quantized()) {
-        kv_pack_row(pool_->format(), row,
-                    pool_->k_slot_bytes(layer, table_[pos / ps],
-                                        pos % ps));
-    } else {
-        const auto dst =
-            pool_->k_slot(layer, table_[pos / ps], pos % ps);
-        std::copy(row.begin(), row.end(), dst.begin());
-    }
-}
-
-void
-PagedKvCache::store_v(std::size_t layer, std::size_t pos,
-                      std::span<const float> row)
-{
-    ANDA_DCHECK(pool_->with_storage());
-    const std::size_t ps = pool_->page_size();
-    if (pool_->format().quantized()) {
-        kv_pack_row(pool_->format(), row,
-                    pool_->v_slot_bytes(layer, table_[pos / ps],
-                                        pos % ps));
-    } else {
-        const auto dst =
-            pool_->v_slot(layer, table_[pos / ps], pos % ps);
-        std::copy(row.begin(), row.end(), dst.begin());
-    }
-}
-
-void
-PagedKvCache::load_k(std::size_t layer, std::size_t pos,
-                     std::span<float> out) const
-{
-    ANDA_DCHECK(pool_->with_storage());
-    const std::size_t ps = pool_->page_size();
-    if (pool_->format().quantized()) {
-        kv_unpack_row(pool_->format(),
-                      pool_->k_slot_bytes(layer, table_[pos / ps],
-                                          pos % ps),
-                      out);
-    } else {
-        const auto src =
-            pool_->k_slot(layer, table_[pos / ps], pos % ps);
-        std::copy(src.begin(), src.end(), out.begin());
-    }
-}
-
-void
-PagedKvCache::load_v(std::size_t layer, std::size_t pos,
-                     std::span<float> out) const
-{
-    ANDA_DCHECK(pool_->with_storage());
-    const std::size_t ps = pool_->page_size();
-    if (pool_->format().quantized()) {
-        kv_unpack_row(pool_->format(),
-                      pool_->v_slot_bytes(layer, table_[pos / ps],
-                                          pos % ps),
-                      out);
-    } else {
-        const auto src =
-            pool_->v_slot(layer, table_[pos / ps], pos % ps);
-        std::copy(src.begin(), src.end(), out.begin());
-    }
-}
-
-std::span<float>
-PagedKvCache::k_row(std::size_t layer, std::size_t pos)
-{
-    ANDA_DCHECK(pool_->with_storage());
-    ANDA_CHECK(!pool_->format().quantized(),
-               "PagedKvCache: float row view of a quantized cache");
-    const std::size_t ps = pool_->page_size();
-    return pool_->k_slot(layer, table_[pos / ps], pos % ps);
-}
-
-std::span<float>
-PagedKvCache::v_row(std::size_t layer, std::size_t pos)
-{
-    ANDA_DCHECK(pool_->with_storage());
-    ANDA_CHECK(!pool_->format().quantized(),
-               "PagedKvCache: float row view of a quantized cache");
-    const std::size_t ps = pool_->page_size();
-    return pool_->v_slot(layer, table_[pos / ps], pos % ps);
-}
-
-std::span<const float>
-PagedKvCache::k_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_DCHECK(pool_->with_storage());
-    ANDA_CHECK(!pool_->format().quantized(),
-               "PagedKvCache: float row view of a quantized cache");
-    const std::size_t ps = pool_->page_size();
-    return pool_->k_slot(layer, table_[pos / ps], pos % ps);
-}
-
-std::span<const float>
-PagedKvCache::v_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_DCHECK(pool_->with_storage());
-    ANDA_CHECK(!pool_->format().quantized(),
-               "PagedKvCache: float row view of a quantized cache");
-    const std::size_t ps = pool_->page_size();
-    return pool_->v_slot(layer, table_[pos / ps], pos % ps);
-}
-
-void
 PagedKvCache::adopt_prefix(const PagedKvCache &donor,
                            std::size_t tokens)
 {
@@ -413,25 +249,13 @@ PagedKvCache::swap_out()
 {
     std::vector<std::byte> data;
     if (pool_->with_storage()) {
-        const std::size_t rb = pool_->row_bytes();
-        const std::size_t ps = pool_->page_size();
-        const bool quant = pool_->format().quantized();
-        data.resize(2 * pool_->n_layers() * length_ * rb);
+        data.resize(2 * n_layers() * length_ * pool_->row_bytes());
         std::byte *dst = data.data();
-        for (std::size_t l = 0; l < pool_->n_layers(); ++l) {
+        for (std::size_t l = 0; l < n_layers(); ++l) {
             for (std::size_t r = 0; r < length_; ++r) {
-                if (quant) {
-                    const auto ks = pool_->k_slot_bytes(
-                        l, table_[r / ps], r % ps);
-                    const auto vs = pool_->v_slot_bytes(
-                        l, table_[r / ps], r % ps);
-                    dst = std::copy(ks.begin(), ks.end(), dst);
-                    dst = std::copy(vs.begin(), vs.end(), dst);
-                } else {
-                    std::memcpy(dst, k_row(l, r).data(), rb);
-                    dst += rb;
-                    std::memcpy(dst, v_row(l, r).data(), rb);
-                    dst += rb;
+                for (const std::size_t t : {KvRows::kK, KvRows::kV}) {
+                    const auto src = bytes(t, l, r);
+                    dst = std::copy(src.begin(), src.end(), dst);
                 }
             }
         }
@@ -445,34 +269,20 @@ PagedKvCache::swap_in(std::span<const std::byte> data, std::size_t rows)
 {
     ANDA_CHECK(length_ == 0 && table_.empty(),
                "PagedKvCache: swap_in into a non-empty sequence");
-    const std::size_t rb = pool_->row_bytes();
     ANDA_CHECK(pool_->with_storage()
-                   ? data.size() == 2 * pool_->n_layers() * rows * rb
+                   ? data.size() ==
+                         2 * n_layers() * rows * pool_->row_bytes()
                    : data.empty(),
                "PagedKvCache: swap_in buffer size mismatch");
     reserve(rows);
     if (pool_->with_storage()) {
-        const std::size_t ps = pool_->page_size();
-        const bool quant = pool_->format().quantized();
         const std::byte *src = data.data();
-        // advance() after filling; rows are written via the page
-        // table directly since reserve() has mapped them.
-        for (std::size_t l = 0; l < pool_->n_layers(); ++l) {
+        for (std::size_t l = 0; l < n_layers(); ++l) {
             for (std::size_t r = 0; r < rows; ++r) {
-                if (quant) {
-                    const auto ks = pool_->k_slot_bytes(
-                        l, table_[r / ps], r % ps);
-                    const auto vs = pool_->v_slot_bytes(
-                        l, table_[r / ps], r % ps);
-                    std::copy(src, src + rb, ks.begin());
-                    src += rb;
-                    std::copy(src, src + rb, vs.begin());
-                    src += rb;
-                } else {
-                    std::memcpy(k_row(l, r).data(), src, rb);
-                    src += rb;
-                    std::memcpy(v_row(l, r).data(), src, rb);
-                    src += rb;
+                for (const std::size_t t : {KvRows::kK, KvRows::kV}) {
+                    const auto dst = bytes(t, l, r);
+                    std::copy(src, src + dst.size(), dst.begin());
+                    src += dst.size();
                 }
             }
         }

@@ -12,12 +12,12 @@
 ///
 ///  * KvPageAllocator owns the refcounted free list; free/used page
 ///    counts are exact, first-class scheduler state.
-///  * KvPagePool couples an allocator with (optional) per-layer float
-///    storage, `n_pages * page_size` rows per layer for K and V.
+///  * KvPagePool couples an allocator with a KvRows of
+///    `n_pages * page_size` slots (none when accounting-only).
 ///  * PagedKvCache is one sequence: a page table mapping logical row
-///    r to (table_[r / page_size], slot r % page_size). It implements
-///    KvSeq, so the transformer decodes through it bit-identically to
-///    a slab cache.
+///    r to slot table_[r / page_size] * page_size + r % page_size.
+///    It implements KvSeq, so the transformer decodes through it
+///    bit-identically to a slab cache.
 ///
 /// Prefix sharing: adopt_prefix() maps a donor's pages into this
 /// sequence's table (refcount bump, zero allocation, zero copies).
@@ -27,9 +27,8 @@
 /// stored (packed) form and releases every page; swap_in() reloads
 /// them into freshly allocated pages byte-for-byte.
 ///
-/// Pool storage is held in the pool's KvFormat: FP32 keeps the legacy
-/// per-layer float pages, quantized formats store packed rows of
-/// kv_row_bytes() each, so a page's physical footprint shrinks with
+/// Pool rows are kv_row_bytes() each in the pool's KvFormat (raw
+/// float bytes for FP32), so a page's physical footprint shrinks with
 /// the format. Paging changes where rows live, never their values —
 /// and because rows are packed once at store time, neither does the
 /// format change values between layouts (see llm/kv_cache.h).
@@ -86,12 +85,13 @@ class KvPageAllocator {
     std::vector<PageId> free_;
 };
 
-/// A page allocator plus the physical K/V storage pages index into.
-/// With `with_storage == false` the pool is accounting-only: page
-/// tables, refcounts, and occupancy behave identically but no floats
-/// are backed — the serving scheduler uses this in pricing-only mode
-/// so paging decisions (admission, preemption) are bit-identical
-/// between priced and executed runs.
+/// A page allocator plus the KvRows its pages index into: page p
+/// owns slots [p * page_size, (p + 1) * page_size). With
+/// `with_storage == false` the pool is accounting-only: page tables,
+/// refcounts, and occupancy behave identically but the store holds no
+/// slots, so any row access throws — the serving scheduler uses this
+/// in pricing-only mode so paging decisions (admission, preemption)
+/// are bit-identical between priced and executed runs.
 class KvPagePool {
   public:
     KvPagePool(std::size_t n_layers, std::size_t d_model,
@@ -99,95 +99,31 @@ class KvPagePool {
                std::size_t n_pages, bool with_storage = true,
                KvFormat fmt = KvFormat::fp32());
 
-    std::size_t n_layers() const { return n_layers_; }
-    std::size_t d_model() const { return d_model_; }
+    std::size_t n_layers() const { return rows_.n_layers(); }
+    std::size_t d_model() const { return rows_.d_model(); }
     std::size_t max_seq() const { return max_seq_; }
     std::size_t page_size() const { return page_size_; }
-    bool with_storage() const { return storage_; }
-    const KvFormat &format() const { return fmt_; }
+    bool with_storage() const { return rows_.slots() != 0; }
+    const KvFormat &format() const { return rows_.format(); }
     /// Packed bytes of one K or V row in the pool's format.
-    std::size_t row_bytes() const { return row_bytes_; }
+    std::size_t row_bytes() const { return rows_.row_bytes(); }
     /// Physical bytes of one page (K and V, all layers) — what a byte
     /// budget charges per allocated page.
     std::size_t page_bytes() const
     {
-        return 2 * n_layers_ * page_size_ * row_bytes_;
+        return 2 * n_layers() * page_size_ * row_bytes();
     }
 
     KvPageAllocator &allocator() { return alloc_; }
     const KvPageAllocator &allocator() const { return alloc_; }
 
-    /// Row `slot` of `page` in the layer's K (resp. V) storage.
-    /// Only valid on an FP32 pool with storage.
-    std::span<float> k_slot(std::size_t layer, PageId page,
-                            std::size_t slot)
-    {
-        return k_[layer].row(page * page_size_ + slot);
-    }
-    std::span<float> v_slot(std::size_t layer, PageId page,
-                            std::size_t slot)
-    {
-        return v_[layer].row(page * page_size_ + slot);
-    }
-    std::span<const float> k_slot(std::size_t layer, PageId page,
-                                  std::size_t slot) const
-    {
-        return k_[layer].row(page * page_size_ + slot);
-    }
-    std::span<const float> v_slot(std::size_t layer, PageId page,
-                                  std::size_t slot) const
-    {
-        return v_[layer].row(page * page_size_ + slot);
-    }
-
-    /// Packed bytes of row `slot` of `page` (quantized pools with
-    /// storage).
-    std::span<std::byte> k_slot_bytes(std::size_t layer, PageId page,
-                                      std::size_t slot)
-    {
-        return {kq_[layer].data() +
-                    (page * page_size_ + slot) * row_bytes_,
-                row_bytes_};
-    }
-    std::span<std::byte> v_slot_bytes(std::size_t layer, PageId page,
-                                      std::size_t slot)
-    {
-        return {vq_[layer].data() +
-                    (page * page_size_ + slot) * row_bytes_,
-                row_bytes_};
-    }
-    std::span<const std::byte> k_slot_bytes(std::size_t layer,
-                                            PageId page,
-                                            std::size_t slot) const
-    {
-        return {kq_[layer].data() +
-                    (page * page_size_ + slot) * row_bytes_,
-                row_bytes_};
-    }
-    std::span<const std::byte> v_slot_bytes(std::size_t layer,
-                                            PageId page,
-                                            std::size_t slot) const
-    {
-        return {vq_[layer].data() +
-                    (page * page_size_ + slot) * row_bytes_,
-                row_bytes_};
-    }
+    KvRows &rows() { return rows_; }
 
   private:
-    std::size_t n_layers_ = 0;
-    std::size_t d_model_ = 0;
     std::size_t max_seq_ = 0;
     std::size_t page_size_ = 0;
-    KvFormat fmt_;
-    std::size_t row_bytes_ = 0;
-    bool storage_ = false;
     KvPageAllocator alloc_;
-    /// FP32 storage (empty when quantized or accounting-only).
-    std::vector<Matrix> k_;
-    std::vector<Matrix> v_;
-    /// Quantized packed storage (empty when FP32 or accounting-only).
-    std::vector<std::vector<std::byte>> kq_;
-    std::vector<std::vector<std::byte>> vq_;
+    KvRows rows_;
 };
 
 /// One sequence over a shared KvPagePool. Unlike the slab cache,
@@ -203,10 +139,10 @@ class PagedKvCache final : public KvSeq {
     PagedKvCache(const PagedKvCache &) = delete;
     PagedKvCache &operator=(const PagedKvCache &) = delete;
 
-    std::size_t n_layers() const override;
-    std::size_t d_model() const override;
-    std::size_t max_seq() const override;
-    const KvFormat &format() const override;
+    std::size_t n_layers() const override { return pool_->n_layers(); }
+    std::size_t d_model() const override { return pool_->d_model(); }
+    std::size_t max_seq() const override { return pool_->max_seq(); }
+    const KvFormat &format() const override { return pool_->format(); }
     std::size_t length() const override { return length_; }
 
     /// Pages this sequence references (shared pages count once here
@@ -223,22 +159,6 @@ class PagedKvCache final : public KvSeq {
     /// guarantee: the sequence is unchanged on throw).
     void reserve(std::size_t rows) override;
     void advance(std::size_t n) override;
-
-    void store_k(std::size_t layer, std::size_t pos,
-                 std::span<const float> row) override;
-    void store_v(std::size_t layer, std::size_t pos,
-                 std::span<const float> row) override;
-    void load_k(std::size_t layer, std::size_t pos,
-                std::span<float> out) const override;
-    void load_v(std::size_t layer, std::size_t pos,
-                std::span<float> out) const override;
-
-    std::span<float> k_row(std::size_t layer, std::size_t pos) override;
-    std::span<float> v_row(std::size_t layer, std::size_t pos) override;
-    std::span<const float> k_row(std::size_t layer,
-                                 std::size_t pos) const override;
-    std::span<const float> v_row(std::size_t layer,
-                                 std::size_t pos) const override;
 
     /// Maps the donor's first ceil(tokens/page_size) pages into this
     /// (empty) sequence: refcounts bump, no pages are allocated, no
@@ -282,6 +202,9 @@ class PagedKvCache final : public KvSeq {
     {
         return (rows + page_size - 1) / page_size;
     }
+
+  protected:
+    Slot locate(std::size_t pos) const override;
 
   private:
     /// Per-sequence structural audit (ANDA_DCHECK'd after mutations):

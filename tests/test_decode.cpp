@@ -269,7 +269,6 @@ TEST_F(DecodeTest, KvCacheGrowsGeometricallyNotEagerly)
     KvCache cache = m.make_cache();
     EXPECT_EQ(cache.length(), 0u);
     EXPECT_EQ(cache.capacity(), 0u);
-    EXPECT_EQ(cache.allocated_floats(), 0u);
 
     // A short prompt must not reserve max_seq rows up front.
     SplitMix64 rng(5);
@@ -279,9 +278,6 @@ TEST_F(DecodeTest, KvCacheGrowsGeometricallyNotEagerly)
     EXPECT_GE(cache.capacity(), 3u);
     EXPECT_LT(cache.capacity(),
               static_cast<std::size_t>(m.dims().max_seq));
-    EXPECT_EQ(cache.allocated_floats(),
-              2 * cache.n_layers() * cache.capacity() *
-                  cache.d_model());
 
     // Growth at least doubles, so a decode loop reallocates O(log n)
     // times.
@@ -311,13 +307,6 @@ TEST_F(DecodeTest, KvCacheGrowsGeometricallyNotEagerly)
     EXPECT_THROW(
         m.decode_step(batch, std::span<const int>(&tok, 1), opts),
         std::invalid_argument);
-
-    cache.clear();
-    EXPECT_EQ(cache.length(), 0u);
-    EXPECT_GT(cache.capacity(), 0u);  // Storage kept for reuse.
-    cache.release();
-    EXPECT_EQ(cache.capacity(), 0u);
-    EXPECT_EQ(cache.allocated_floats(), 0u);
 }
 
 TEST_F(DecodeTest, SampleSequenceMatchesReferenceRecomputeLoop)

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -293,14 +294,22 @@ TEST(KvCacheQuantized, StoreLoadRoundTripsAndGuards)
     // float row views of a quantized cache are a contract violation.
     EXPECT_THROW(cache.k_row(0, 0), CheckError);
     EXPECT_THROW(cache.v_row(0, 0), CheckError);
-    EXPECT_EQ(cache.allocated_bytes() % cache.row_bytes(), 0u);
+}
+
+/// True when two stored rows hold the identical bytes.
+bool
+same_bytes(std::span<const std::byte> a, std::span<const std::byte> b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size()) == 0;
 }
 
 TEST(PagedKvCacheQuantized, MatchesSlabAndSwapsPacked)
 {
-    // A BFP format and Anda m=7, the quantized format served under a
-    // byte budget.
-    for (const KvFormat &fmt : {KvFormat::bfp(32, 5), KvFormat::anda(7)}) {
+    // FP32, a BFP format and Anda m=7, the quantized format served
+    // under a byte budget: every format lives in the same packed store.
+    for (const KvFormat &fmt : {KvFormat::fp32(), KvFormat::bfp(32, 5),
+                                KvFormat::anda(7)}) {
         SCOPED_TRACE(fmt.name());
         SplitMix64 rng(88);
         const std::size_t d = 96;
@@ -335,11 +344,28 @@ TEST(PagedKvCacheQuantized, MatchesSlabAndSwapsPacked)
                     slab.load_v(l, r, a);
                     paged.load_v(l, r, b);
                     ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
+                    // Both layouts store the identical bytes.
+                    ASSERT_EQ(slab.packed_k_row(l, r).size(),
+                              kv_row_bytes(fmt, d));
+                    ASSERT_TRUE(same_bytes(slab.packed_k_row(l, r),
+                                           paged.packed_k_row(l, r)));
+                    ASSERT_TRUE(same_bytes(slab.packed_v_row(l, r),
+                                           paged.packed_v_row(l, r)));
                 }
             }
         };
         expect_equal();
-        EXPECT_THROW(paged.k_row(0, 0), CheckError);
+        if (fmt.quantized()) {
+            EXPECT_THROW(paged.k_row(0, 0), CheckError);
+        } else {
+            // An FP32 row's stored bytes are its in-place float view.
+            for (std::size_t r = 0; r < rows; ++r) {
+                ASSERT_TRUE(same_bytes(paged.packed_k_row(1, r),
+                                       std::as_bytes(paged.k_row(1, r))));
+                ASSERT_TRUE(same_bytes(slab.packed_v_row(1, r),
+                                       std::as_bytes(slab.v_row(1, r))));
+            }
+        }
 
         // Swap-out serializes the packed bytes (2 * layers * rows *
         // row_bytes) and the round-trip restores them bit-for-bit.

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "llm/kv_pages.h"
 
@@ -301,6 +302,14 @@ TEST(PagedKvCache, AccountingOnlyPoolMirrorsStoragePool)
     a.swap_in(sa, 17);
     b.swap_in(sb, 17);
     check();
+    // The ledger stores no rows: any row access throws instead of
+    // touching storage that does not exist.
+    const std::vector<float> row(1, 0.5f);
+    std::vector<float> out(1);
+    EXPECT_THROW(b.store_k(0, 0, row), CheckError);
+    EXPECT_THROW(b.load_v(0, 16, out), CheckError);
+    EXPECT_THROW(b.k_row(0, 0), CheckError);
+    EXPECT_THROW(b.packed_v_row(0, 0), CheckError);
 }
 
 /// Shadow of one live sequence in the randomized stress test: the
