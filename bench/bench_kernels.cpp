@@ -223,18 +223,50 @@ BENCHMARK_CAPTURE(BM_KvUnpackRow, anda_m7, KvFormat::anda(7));
 BENCHMARK_CAPTURE(BM_KvUnpackRow, anda_m12, KvFormat::anda(12));
 BENCHMARK_CAPTURE(BM_KvUnpackRow, bfp_g64_m7, KvFormat::bfp(64, 7));
 
-// One decode query of one 32-wide head (the sim models' head_dim)
-// attending over kv_len cached rows that are read in place.
+// Quantizing and packing one 128-wide K/V row, the cost a quantized
+// cache pays once per stored row (every new token, every layer).
+void
+BM_KvPackRow(benchmark::State &state, KvFormat fmt)
+{
+    constexpr std::size_t kRows = 256;
+    constexpr std::size_t kWidth = 128;
+    const auto vals = random_values(kRows * kWidth, 9);
+    std::vector<std::byte> packed(kv_row_bytes(fmt, kWidth));
+    for (auto _ : state) {
+        for (std::size_t r = 0; r < kRows; ++r) {
+            kv_pack_row(fmt, std::span(vals).subspan(r * kWidth, kWidth),
+                        packed);
+            benchmark::DoNotOptimize(packed.data());
+            benchmark::ClobberMemory();
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK_CAPTURE(BM_KvPackRow, fp32, KvFormat::fp32());
+BENCHMARK_CAPTURE(BM_KvPackRow, anda_m3, KvFormat::anda(3));
+BENCHMARK_CAPTURE(BM_KvPackRow, anda_m7, KvFormat::anda(7));
+BENCHMARK_CAPTURE(BM_KvPackRow, anda_m7_rn, KvFormat::anda(7, true));
+BENCHMARK_CAPTURE(BM_KvPackRow, bfp_g64_m7, KvFormat::bfp(64, 7));
+
+// Queries of one 32-wide head (the sim models' head_dim) attending
+// over kv_len cached rows that are read in place: range(0) is kv_len,
+// range(1) the query rows, which end at the last key (one decode
+// query, or a 512-row prefill chunk as rag_longctx runs them).
 void
 BM_CausalAttentionHead(benchmark::State &state)
 {
     const std::size_t kv_len = static_cast<std::size_t>(state.range(0));
-    const Matrix q = random_matrix(1, 128, 10);
+    const std::size_t rows = static_cast<std::size_t>(state.range(1));
+    const Matrix q = random_matrix(rows, 128, 10);
     const Matrix k = random_matrix(kv_len, 128, 11);
     const Matrix v = random_matrix(kv_len, 128, 12);
-    Matrix out(1, 128);
-    const std::vector<const float *> qrows = {q.data()};
-    const std::vector<float *> orows = {out.data()};
+    Matrix out(rows, 128);
+    std::vector<const float *> qrows(rows);
+    std::vector<float *> orows(rows);
+    for (std::size_t t = 0; t < rows; ++t) {
+        qrows[t] = q.row(t).data();
+        orows[t] = out.row(t).data();
+    }
     std::vector<const float *> krows(kv_len);
     std::vector<const float *> vrows(kv_len);
     for (std::size_t t = 0; t < kv_len; ++t) {
@@ -243,12 +275,17 @@ BM_CausalAttentionHead(benchmark::State &state)
     }
     for (auto _ : state) {
         causal_attention_head(qrows, krows, vrows, /*col=*/32,
-                              /*head_dim=*/32, kv_len - 1, orows);
+                              /*head_dim=*/32, kv_len - rows, orows);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * kv_len);
+    state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_CausalAttentionHead)->Arg(64)->Arg(512)->Arg(1024);
+BENCHMARK(BM_CausalAttentionHead)
+    ->Args({64, 1})
+    ->Args({512, 1})
+    ->Args({1024, 1})
+    ->Args({1024, 512});
 
 // The hw model prices one llama-7b decode step on the Anda system: the
 // four FP-INT taps of every layer over 8 fused rows plus one attention

@@ -1,8 +1,6 @@
 #include "format/kv_format.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -26,10 +24,11 @@ effective_exponent(Fp16 h)
 /// Quantizes one group: shared max effective exponent, significands
 /// aligned by their exponent distance and cut to `m` bits — truncated
 /// (the hardware path) or rounded to nearest with saturation at the
-/// mantissa ceiling. Returns the shared biased exponent.
+/// mantissa ceiling. Returns the shared biased exponent. The scalar
+/// oracle of quantize_group_lanes.
 std::uint8_t
 quantize_group(std::span<const float> vals, int m, bool round_nearest,
-               std::uint32_t *mant, std::uint8_t *sign)
+               std::uint32_t *mant, std::uint32_t *sign)
 {
     int max_exp = 1;
     for (const float v : vals) {
@@ -40,7 +39,7 @@ quantize_group(std::span<const float> vals, int m, bool round_nearest,
     }
     for (std::size_t i = 0; i < vals.size(); ++i) {
         const Fp16 h(vals[i]);
-        sign[i] = static_cast<std::uint8_t>(h.sign());
+        sign[i] = static_cast<std::uint32_t>(h.sign());
         if (h.is_zero()) {
             mant[i] = 0;
             continue;
@@ -65,6 +64,88 @@ quantize_group(std::span<const float> vals, int m, bool round_nearest,
                     "truncated KV mantissa overflows its bit budget");
     }
     return static_cast<std::uint8_t>(max_exp);
+}
+
+// Pass 1 of quantize_group_lanes on one vector: the lanes' FP16 bits
+// (parked in `h`) and the running per-lane maximum of their biased
+// exponents. A zero's exponent field is 0, below the floor of 1 the
+// reduction starts from, so zeros never raise the maximum.
+template <class F, class U>
+[[gnu::always_inline]] inline void
+encode_lanes(const F &f, U &h, U &emax)
+{
+    fp16_encode_bits(f, h);
+    const U e = (h >> 10) & 0x1fu;
+    const U gt = -((U)(e > emax) & 1u);
+    emax = (e & gt) | (emax & ~gt);
+}
+
+// Pass 2 on one vector of FP16 bits: quantize_group's mantissa and
+// sign of every lane. The shift ts = emax - eff + 11 - m lies in
+// [-5, 40]; a left shift by -ts and a right shift by ts clamped to 31
+// (sig < 2^11, so every clamped shift gives 0, as the 64-bit scalar
+// does) both run in every lane, one of them by 0. Round-to-nearest
+// adds half of the right shift's step first; a zero's significand is
+// 0 and quantizes to 0 in either mode.
+template <class U, class I>
+[[gnu::always_inline]] inline void
+quantize_lanes(const U &h, std::uint32_t emax, int m,
+               std::uint32_t round_mask, U &mant, U &sign)
+{
+    const U e = (h >> 10) & 0x1fu;
+    const U normal = -((U)(e != 0u) & 1u);
+    const U sig = (h & 0x3ffu) | (normal & 0x400u);
+    const U eff = e | (~normal & 1u);  // Subnormals align at exponent 1.
+    const I ts = (I)(emax - eff) + (Fp16::kMantissaBits + 1 - m);
+    const I neg = (I)(ts < 0);
+    const I right = ts & ~neg;
+    const I big = (I)(right > 31);
+    const U lshift = (U)(-ts & neg);
+    const U rshift = (U)((right & ~big) | (31 & big));
+    const U half = ((U{} + 1u) << rshift >> 1) & round_mask;
+    const U q = ((sig << lshift) + half) >> rshift;
+    const std::uint32_t ceiling = (std::uint32_t{1} << m) - 1;
+    const U over = (U)(q > ceiling);
+    mant = (q & ~over) | (ceiling & over);
+    sign = (h >> 15) & 1u;
+}
+
+// quantize_group over vectors of lanes: one pass parks each member's
+// FP16 bits in `mant` while reducing the exponent maximum, a second
+// rewrites them as mantissas. A short last vector runs zero-padded.
+template <class F, class U, class I>
+[[gnu::always_inline]] inline std::uint8_t
+quantize_group_lanes(std::span<const float> vals, int m,
+                     bool round_nearest, std::uint32_t *mant,
+                     std::uint32_t *sign)
+{
+    constexpr std::size_t kLanes = sizeof(F) / sizeof(float);
+    const std::size_t len = vals.size();
+    const std::size_t full = len / kLanes * kLanes;
+    const std::size_t tail = (len - full) * sizeof(float);
+    U emax_lanes = {};
+    for (std::size_t i = 0; i < len; i += kLanes) {
+        F f = {};
+        U h;
+        std::memcpy(&f, vals.data() + i, i < full ? sizeof f : tail);
+        encode_lanes(f, h, emax_lanes);
+        std::memcpy(mant + i, &h, i < full ? sizeof h : tail);
+    }
+    std::uint32_t emax = 1;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+        emax = std::max<std::uint32_t>(emax, emax_lanes[l]);
+    }
+    const std::uint32_t round_mask = round_nearest ? ~0u : 0u;
+    for (std::size_t i = 0; i < len; i += kLanes) {
+        U h = {};
+        std::memcpy(&h, mant + i, i < full ? sizeof h : tail);
+        U q;
+        U s;
+        quantize_lanes<U, I>(h, emax, m, round_mask, q, s);
+        std::memcpy(mant + i, &q, i < full ? sizeof q : tail);
+        std::memcpy(sign + i, &s, i < full ? sizeof s : tail);
+    }
+    return static_cast<std::uint8_t>(emax);
 }
 
 inline void
@@ -108,11 +189,11 @@ anda_group_bytes(int m)
 /// largest fixed group; kBfp groups above 64 fall back to the heap).
 struct GroupScratch {
     std::uint32_t mant_fixed[kAndaGroupSize];
-    std::uint8_t sign_fixed[kAndaGroupSize];
+    std::uint32_t sign_fixed[kAndaGroupSize];
     std::vector<std::uint32_t> mant_heap;
-    std::vector<std::uint8_t> sign_heap;
+    std::vector<std::uint32_t> sign_heap;
     std::uint32_t *mant = nullptr;
-    std::uint8_t *sign = nullptr;
+    std::uint32_t *sign = nullptr;
 
     explicit GroupScratch(std::size_t group_size)
     {
@@ -128,62 +209,101 @@ struct GroupScratch {
     }
 };
 
+/// Writes one kBfp group's (1 + m)-bit sign|mantissa fields, LSB
+/// first, into zeroed `bits`: one field bit per step (the bit-serial
+/// oracle) or through a 64-bit accumulator that flushes whole bytes
+/// (w <= 17, so it never overflows between flushes).
 void
-pack_bfp(const KvFormat &fmt, std::span<const float> row,
-         std::span<std::byte> out, bool serial)
+emit_bfp_group(const GroupScratch &g, std::size_t len, int m, bool serial,
+               std::byte *bits)
 {
-    const int m = fmt.mantissa_bits;
     const int w = 1 + m;
-    const std::size_t gs = static_cast<std::size_t>(fmt.group_size);
+    if (serial) {
+        std::size_t bitpos = 0;
+        for (std::size_t i = 0; i < len; ++i) {
+            const std::uint32_t field = (g.mant[i] << 1) | g.sign[i];
+            for (int b = 0; b < w; ++b, ++bitpos) {
+                const std::uint8_t bit = (field >> b) & 1;
+                bits[bitpos / 8] |=
+                    static_cast<std::byte>(bit << (bitpos % 8));
+            }
+        }
+        return;
+    }
+    std::uint64_t acc = 0;
+    int nbits = 0;
+    std::size_t byte = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+        const std::uint64_t field =
+            (static_cast<std::uint64_t>(g.mant[i]) << 1) | g.sign[i];
+        acc |= field << nbits;
+        nbits += w;
+        while (nbits >= 8) {
+            bits[byte++] = static_cast<std::byte>(acc & 0xff);
+            acc >>= 8;
+            nbits -= 8;
+        }
+    }
+    if (nbits > 0) {
+        bits[byte++] = static_cast<std::byte>(acc & 0xff);
+    }
+}
+
+/// Writes one kAnda group's sign plane and m mantissa planes, plane
+/// by plane and one member bit per step — the order the bit-serial APU
+/// consumes them (plane p holds mantissa bit m-1-p, matching
+/// format/anda_tensor.h). Inlined, so each ISA instantiation of the
+/// fast path compiles its own copy of the member loops.
+[[gnu::always_inline]] inline void
+emit_anda_group(const GroupScratch &g, std::size_t len, int m,
+                std::byte *body)
+{
+    std::uint64_t planes[1 + kAndaMaxMantissa] = {};
+    for (std::size_t i = 0; i < len; ++i) {
+        planes[0] |= static_cast<std::uint64_t>(g.sign[i] & 1) << i;
+    }
+    for (int p = 0; p < m; ++p) {
+        for (std::size_t i = 0; i < len; ++i) {
+            planes[1 + p] |=
+                static_cast<std::uint64_t>((g.mant[i] >> (m - 1 - p)) & 1)
+                << i;
+        }
+    }
+    for (int p = 0; p < 1 + m; ++p) {
+        store_u64_le(planes[p], body + 8 * p);
+    }
+}
+
+/// Packs a row of a quantized kind group by group, quantizing each
+/// group with `Quantize` (quantize_group or a lane instantiation).
+template <auto Quantize, bool kSerial>
+[[gnu::always_inline]] inline void
+pack_quantized(const KvFormat &fmt, std::span<const float> row,
+               std::span<std::byte> out)
+{
+    // The emitters fill zeroed bytes field by field.
+    std::fill(out.begin(), out.end(), std::byte{0});
+    const int m = fmt.mantissa_bits;
+    const bool anda = fmt.kind == KvKind::kAnda;
+    const std::size_t gs = anda ? kAndaGroupSize
+                                : static_cast<std::size_t>(fmt.group_size);
     GroupScratch scratch(gs);
     std::size_t off = 0;
     for (std::size_t base = 0; base < row.size(); base += gs) {
         const std::size_t len = std::min(gs, row.size() - base);
-        const std::uint8_t exp = quantize_group(
-            row.subspan(base, len), m, fmt.round_nearest, scratch.mant,
-            scratch.sign);
-        out[off] = static_cast<std::byte>(exp);
-        std::byte *bits = out.data() + off + 1;
-        if (serial) {
-            // Bit-serial emission: one field bit per step, LSB first
-            // (bit 0 = sign, bits 1..m = mantissa).
-            std::size_t bitpos = 0;
-            for (std::size_t i = 0; i < len; ++i) {
-                const std::uint32_t field =
-                    (scratch.mant[i] << 1) | scratch.sign[i];
-                for (int b = 0; b < w; ++b, ++bitpos) {
-                    const std::uint8_t bit = (field >> b) & 1;
-                    bits[bitpos / 8] |= static_cast<std::byte>(
-                        bit << (bitpos % 8));
-                }
-            }
+        out[off] = static_cast<std::byte>(
+            Quantize(row.subspan(base, len), m, fmt.round_nearest,
+                     scratch.mant, scratch.sign));
+        if (anda) {
+            emit_anda_group(scratch, len, m, out.data() + off + 1);
+            off += anda_group_bytes(m);
         } else {
-            // Word-level fast path: a 64-bit accumulator flushes
-            // whole bytes (w <= 17, so it never overflows between
-            // flushes).
-            std::uint64_t acc = 0;
-            int nbits = 0;
-            std::size_t byte = 0;
-            for (std::size_t i = 0; i < len; ++i) {
-                const std::uint64_t field =
-                    (static_cast<std::uint64_t>(scratch.mant[i]) << 1) |
-                    scratch.sign[i];
-                acc |= field << nbits;
-                nbits += w;
-                while (nbits >= 8) {
-                    bits[byte++] =
-                        static_cast<std::byte>(acc & 0xff);
-                    acc >>= 8;
-                    nbits -= 8;
-                }
-            }
-            if (nbits > 0) {
-                bits[byte++] = static_cast<std::byte>(acc & 0xff);
-            }
+            emit_bfp_group(scratch, len, m, kSerial,
+                           out.data() + off + 1);
+            off += bfp_group_bytes(len, m);
         }
-        off += bfp_group_bytes(len, m);
     }
-    ANDA_DCHECK_EQ(off, out.size(), "BFP KV row size mismatch");
+    ANDA_DCHECK_EQ(off, out.size(), "quantized KV row size mismatch");
 }
 
 void
@@ -241,202 +361,178 @@ unpack_bfp(const KvFormat &fmt, std::span<const std::byte> in,
     }
 }
 
+/// The bit-serial kAnda unpack: each member's mantissa is reassembled
+/// one plane bit per step.
 void
-pack_anda(const KvFormat &fmt, std::span<const float> row,
-          std::span<std::byte> out, bool serial)
+unpack_anda_serial(const KvFormat &fmt, std::span<const std::byte> in,
+                   std::span<float> out)
 {
     const int m = fmt.mantissa_bits;
     constexpr std::size_t gs = kAndaGroupSize;
-    GroupScratch scratch(gs);
-    std::size_t off = 0;
-    for (std::size_t base = 0; base < row.size(); base += gs) {
-        const std::size_t len = std::min(gs, row.size() - base);
-        const std::uint8_t exp = quantize_group(
-            row.subspan(base, len), m, fmt.round_nearest, scratch.mant,
-            scratch.sign);
-        out[off] = static_cast<std::byte>(exp);
-        std::uint64_t planes[1 + kAndaMaxMantissa] = {};
-        if (serial) {
-            // Plane-by-plane, one member bit per step — the order the
-            // bit-serial APU consumes them (plane p holds mantissa
-            // bit m-1-p, matching format/anda_tensor.h).
-            for (std::size_t i = 0; i < len; ++i) {
-                planes[0] |= static_cast<std::uint64_t>(
-                                 scratch.sign[i] & 1)
-                             << i;
-            }
-            for (int p = 0; p < m; ++p) {
-                for (std::size_t i = 0; i < len; ++i) {
-                    planes[1 + p] |=
-                        static_cast<std::uint64_t>(
-                            (scratch.mant[i] >> (m - 1 - p)) & 1)
-                        << i;
-                }
-            }
-        } else {
-            // Word-level fast path: scatter each member's set bits
-            // into its planes, one step per set bit (pack runs once
-            // per row; the dense transpose is on the unpack side,
-            // which attention runs every step).
-            for (std::size_t i = 0; i < len; ++i) {
-                if (scratch.sign[i]) {
-                    planes[0] |= std::uint64_t{1} << i;
-                }
-                std::uint32_t rem = scratch.mant[i];
-                while (rem != 0) {
-                    const int b = std::countr_zero(rem);
-                    rem &= rem - 1;
-                    planes[1 + (m - 1 - b)] |= std::uint64_t{1} << i;
-                }
-            }
-        }
-        for (int p = 0; p < 1 + m; ++p) {
-            store_u64_le(planes[p], out.data() + off + 1 + 8 * p);
-        }
-        off += anda_group_bytes(m);
-    }
-    ANDA_DCHECK_EQ(off, out.size(), "Anda KV row size mismatch");
-}
-
-/// kSpread[x] puts bit k of byte x into bit 0 of byte lane k: one
-/// plane byte (8 group members) becomes eight 8-bit lanes.
-constexpr std::array<std::uint64_t, 256> kSpread = [] {
-    std::array<std::uint64_t, 256> t{};
-    for (std::size_t x = 0; x < t.size(); ++x) {
-        for (int k = 0; k < 8; ++k) {
-            t[x] |= static_cast<std::uint64_t>((x >> k) & 1)
-                    << (8 * k);
-        }
-    }
-    return t;
-}();
-
-/// Bit 0 of every byte lane.
-constexpr std::uint64_t kLaneLsb = 0x0101010101010101ULL;
-
-inline std::uint64_t
-spread(std::byte plane_byte)
-{
-    return kSpread[std::to_integer<std::uint8_t>(plane_byte)];
-}
-
-/// Writes the eight byte lanes of `w` to out[0..8), lane 0 first.
-inline void
-store_lanes(std::uint64_t w, std::uint8_t *out)
-{
-    for (int k = 0; k < 8; ++k) {
-        out[k] = static_cast<std::uint8_t>(w >> (8 * k));
-    }
-}
-
-void
-unpack_anda(const KvFormat &fmt, std::span<const std::byte> in,
-            std::span<float> out, bool serial)
-{
-    const int m = fmt.mantissa_bits;
-    constexpr std::size_t gs = kAndaGroupSize;
-    constexpr std::size_t words = gs / 8;
     std::size_t off = 0;
     for (std::size_t base = 0; base < out.size(); base += gs) {
         const std::size_t len = std::min(gs, out.size() - base);
         const int exp = std::to_integer<int>(in[off]);
         const float scale = bfp_group_scale(exp, m);
         const std::byte *body = in.data() + off + 1;
-        if (serial) {
-            const std::uint64_t sign_plane = load_u64_le(body);
-            for (std::size_t i = 0; i < len; ++i) {
-                std::uint32_t mant = 0;
-                for (int p = 0; p < m; ++p) {
-                    const std::uint64_t plane =
-                        load_u64_le(body + 8 * (1 + p));
-                    mant = (mant << 1) |
-                           static_cast<std::uint32_t>((plane >> i) & 1);
-                }
-                const float mag = static_cast<float>(mant) * scale;
-                out[base + i] = ((sign_plane >> i) & 1) ? -mag : mag;
-            }
-        } else {
-            // Word-level plane transpose (SWAR): each plane byte is
-            // spread into eight 8-bit lanes and shifted into its lane
-            // accumulator, MSB plane first. The bit shifted out of a
-            // low lane carries into the same lane of the high word,
-            // so every m in [1, 16] takes this one path.
-            std::uint64_t lo_w[words] = {};
-            std::uint64_t hi_w[words] = {};
+        const std::uint64_t sign_plane = load_u64_le(body);
+        for (std::size_t i = 0; i < len; ++i) {
+            std::uint32_t mant = 0;
             for (int p = 0; p < m; ++p) {
-                const std::byte *plane = body + 8 * (1 + p);
-                for (std::size_t b = 0; b < words; ++b) {
-                    hi_w[b] =
-                        (hi_w[b] << 1) | ((lo_w[b] >> 7) & kLaneLsb);
-                    lo_w[b] = ((lo_w[b] << 1) & ~kLaneLsb) |
-                              spread(plane[b]);
-                }
+                const std::uint64_t plane =
+                    load_u64_le(body + 8 * (1 + p));
+                mant = (mant << 1) |
+                       static_cast<std::uint32_t>((plane >> i) & 1);
             }
-            // Member i's sign bit and its mantissa's low and high bytes.
-            std::uint8_t sign[gs];
-            std::uint8_t lo[gs];
-            std::uint8_t hi[gs];
-            for (std::size_t b = 0; b < words; ++b) {
-                store_lanes(spread(body[b]), sign + 8 * b);
-                store_lanes(lo_w[b], lo + 8 * b);
-                store_lanes(hi_w[b], hi + 8 * b);
-            }
-            // The sign is an XOR of the float sign bit: bit-identical
-            // to negating the magnitude, +0 -> -0 included.
-            float *dst = out.data() + base;
-            for (std::size_t i = 0; i < len; ++i) {
-                const auto mant =
-                    static_cast<std::uint32_t>(lo[i]) |
-                    (static_cast<std::uint32_t>(hi[i]) << 8);
-                const float mag = static_cast<float>(mant) * scale;
-                dst[i] = std::bit_cast<float>(
-                    std::bit_cast<std::uint32_t>(mag) ^
-                    (static_cast<std::uint32_t>(sign[i]) << 31));
-            }
+            const float mag = static_cast<float>(mant) * scale;
+            out[base + i] = ((sign_plane >> i) & 1) ? -mag : mag;
         }
         off += anda_group_bytes(m);
     }
 }
 
-void
-pack_row(const KvFormat &fmt, std::span<const float> row,
-         std::span<std::byte> out, bool serial)
+// kAnda unpack with group members in lanes, all 64 held in registers.
+// Every vector of members sits inside one 32-bit half of each plane;
+// the half is broadcast and shifted right by each lane's member index
+// (one variable shift per plane), MSB plane first. The mantissa
+// (< 2^16) converts exactly through int32. The group scale
+// 2^(exp - 14 - m) is built from its exponent bits (exp in [1, 31] and
+// m in [1, 16] keep it a normal float, equal to bfp_group_scale). The
+// sign is an XOR of the float sign bit: bit-identical to negating the
+// magnitude, +0 -> -0 included.
+template <class F, class U, class I>
+[[gnu::always_inline]] inline void
+unpack_anda_lanes(const KvFormat &fmt, std::span<const std::byte> in,
+                  std::span<float> out)
 {
-    ANDA_DCHECK_EQ(out.size(), kv_row_bytes(fmt, row.size()),
-                   "packed KV row span size mismatch");
-    if (fmt.kind == KvKind::kFp32) {
-        // Raw float bytes — no FP16 rounding, so an FP32 cache stores
-        // exactly the floats it was given.
-        std::memcpy(out.data(), row.data(), 4 * row.size());
-        return;
+    constexpr std::size_t kLanes = sizeof(F) / sizeof(float);
+    constexpr std::size_t gs = kAndaGroupSize;
+    constexpr std::size_t kVecs = gs / kLanes;
+    const int m = fmt.mantissa_bits;
+    U shift[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            shift[v][l] =
+                static_cast<std::uint32_t>((v * kLanes + l) % 32);
+        }
     }
-    // The quantized packers fill zeroed bytes field by field.
-    std::fill(out.begin(), out.end(), std::byte{0});
-    if (fmt.kind == KvKind::kBfp) {
-        pack_bfp(fmt, row, out, serial);
-    } else {
-        pack_anda(fmt, row, out, serial);
+    std::size_t off = 0;
+    for (std::size_t base = 0; base < out.size(); base += gs) {
+        const std::size_t len = std::min(gs, out.size() - base);
+        const int exp = std::to_integer<int>(in[off]);
+        const F scale = __builtin_bit_cast(
+            F, U{} + (static_cast<std::uint32_t>(exp + 113 - m) << 23));
+        const std::byte *body = in.data() + off + 1;
+        U mant[kVecs] = {};
+        for (int p = 1; p <= m; ++p) {
+            const std::uint64_t plane = load_u64_le(body + 8 * p);
+            const U lo = U{} + static_cast<std::uint32_t>(plane);
+            const U hi = U{} + static_cast<std::uint32_t>(plane >> 32);
+            for (std::size_t v = 0; v < kVecs; ++v) {
+                const U half = v * kLanes < 32 ? lo : hi;
+                mant[v] = (mant[v] << 1) | ((half >> shift[v]) & 1u);
+            }
+        }
+        const std::uint64_t sign_plane = load_u64_le(body);
+        float *dst = out.data() + base;
+        for (std::size_t i = 0, v = 0; i < len; i += kLanes, ++v) {
+            const U half = U{} + static_cast<std::uint32_t>(
+                                     sign_plane >> (i / 32 * 32));
+            const F mag = __builtin_convertvector(
+                              __builtin_bit_cast(I, mant[v]), F) *
+                          scale;
+            const U bits =
+                __builtin_bit_cast(U, mag) ^ ((half >> shift[v]) << 31);
+            std::memcpy(dst + i, &bits,
+                        len - i >= kLanes ? sizeof bits
+                                          : (len - i) * sizeof(float));
+        }
+        off += anda_group_bytes(m);
     }
 }
 
-void
-unpack_row(const KvFormat &fmt, std::span<const std::byte> in,
-           std::span<float> out, bool serial)
+// kv_unpack_row of the quantized kinds over vectors of F / U / I lanes
+// (the kBfp fields stay a scalar word-level path).
+template <class F, class U, class I>
+[[gnu::always_inline]] inline void
+unpack_quantized_lanes(const KvFormat &fmt, std::span<const std::byte> in,
+                       std::span<float> out)
 {
-    ANDA_DCHECK_EQ(in.size(), kv_row_bytes(fmt, out.size()),
-                   "packed KV row span size mismatch");
-    switch (fmt.kind) {
-    case KvKind::kFp32:
-        std::memcpy(out.data(), in.data(), 4 * out.size());
-        break;
-    case KvKind::kBfp:
-        unpack_bfp(fmt, in, out, serial);
-        break;
-    case KvKind::kAnda:
-        unpack_anda(fmt, in, out, serial);
-        break;
+    if (fmt.kind == KvKind::kAnda) {
+        unpack_anda_lanes<F, U, I>(fmt, in, out);
+    } else {
+        unpack_bfp(fmt, in, out, /*serial=*/false);
     }
 }
+
+#if ANDA_SIMD_X86
+ANDA_TARGET_AVX512F void
+kv_pack_row_avx512f(const KvFormat &fmt, std::span<const float> row,
+                    std::span<std::byte> out)
+{
+    pack_quantized<
+        quantize_group_lanes<simd::f32x16, simd::u32x16, simd::i32x16>,
+        false>(fmt, row, out);
+}
+
+ANDA_TARGET_AVX2 void
+kv_pack_row_avx2(const KvFormat &fmt, std::span<const float> row,
+                 std::span<std::byte> out)
+{
+    pack_quantized<
+        quantize_group_lanes<simd::f32x8, simd::u32x8, simd::i32x8>,
+        false>(fmt, row, out);
+}
+
+ANDA_TARGET_AVX512F void
+kv_unpack_row_avx512f(const KvFormat &fmt, std::span<const std::byte> in,
+                      std::span<float> out)
+{
+    unpack_quantized_lanes<simd::f32x16, simd::u32x16, simd::i32x16>(
+        fmt, in, out);
+}
+
+ANDA_TARGET_AVX2 void
+kv_unpack_row_avx2(const KvFormat &fmt, std::span<const std::byte> in,
+                   std::span<float> out)
+{
+    unpack_quantized_lanes<simd::f32x8, simd::u32x8, simd::i32x8>(fmt, in,
+                                                                  out);
+}
+#endif
+
+void
+kv_pack_row_baseline(const KvFormat &fmt, std::span<const float> row,
+                     std::span<std::byte> out)
+{
+    pack_quantized<
+        quantize_group_lanes<simd::f32x4, simd::u32x4, simd::i32x4>,
+        false>(fmt, row, out);
+}
+
+void
+kv_unpack_row_baseline(const KvFormat &fmt, std::span<const std::byte> in,
+                       std::span<float> out)
+{
+    unpack_quantized_lanes<simd::f32x4, simd::u32x4, simd::i32x4>(fmt, in,
+                                                                  out);
+}
+
+constexpr simd::Variant<detail::KvPackRowFn> kKvPackRowVariants[] = {
+#if ANDA_SIMD_X86
+    {simd::Isa::kAvx512f, kv_pack_row_avx512f},
+    {simd::Isa::kAvx2, kv_pack_row_avx2},
+#endif
+    {simd::Isa::kBaseline, kv_pack_row_baseline},
+};
+
+constexpr simd::Variant<detail::KvUnpackRowFn> kKvUnpackRowVariants[] = {
+#if ANDA_SIMD_X86
+    {simd::Isa::kAvx512f, kv_unpack_row_avx512f},
+    {simd::Isa::kAvx2, kv_unpack_row_avx2},
+#endif
+    {simd::Isa::kBaseline, kv_unpack_row_baseline},
+};
 
 }  // namespace
 
@@ -515,32 +611,80 @@ kv_row_bytes(const KvFormat &fmt, std::size_t n)
     return 4 * n;
 }
 
+std::span<const simd::Variant<detail::KvPackRowFn>>
+detail::kv_pack_row_variants()
+{
+    return kKvPackRowVariants;
+}
+
+std::span<const simd::Variant<detail::KvUnpackRowFn>>
+detail::kv_unpack_row_variants()
+{
+    return kKvUnpackRowVariants;
+}
+
 void
 kv_pack_row(const KvFormat &fmt, std::span<const float> row,
             std::span<std::byte> out)
 {
-    pack_row(fmt, row, out, /*serial=*/false);
+    ANDA_DCHECK_EQ(out.size(), kv_row_bytes(fmt, row.size()),
+                   "packed KV row span size mismatch");
+    if (fmt.kind == KvKind::kFp32) {
+        // Raw float bytes — no FP16 rounding, so an FP32 cache stores
+        // exactly the floats it was given.
+        std::memcpy(out.data(), row.data(), 4 * row.size());
+        return;
+    }
+    static detail::KvPackRowFn *const run =
+        simd::widest_supported(detail::kv_pack_row_variants());
+    run(fmt, row, out);
 }
 
 void
 kv_unpack_row(const KvFormat &fmt, std::span<const std::byte> in,
               std::span<float> out)
 {
-    unpack_row(fmt, in, out, /*serial=*/false);
+    ANDA_DCHECK_EQ(in.size(), kv_row_bytes(fmt, out.size()),
+                   "packed KV row span size mismatch");
+    if (fmt.kind == KvKind::kFp32) {
+        std::memcpy(out.data(), in.data(), 4 * out.size());
+        return;
+    }
+    static detail::KvUnpackRowFn *const run =
+        simd::widest_supported(detail::kv_unpack_row_variants());
+    run(fmt, in, out);
 }
 
 void
 kv_pack_row_serial(const KvFormat &fmt, std::span<const float> row,
                    std::span<std::byte> out)
 {
-    pack_row(fmt, row, out, /*serial=*/true);
+    ANDA_DCHECK_EQ(out.size(), kv_row_bytes(fmt, row.size()),
+                   "packed KV row span size mismatch");
+    if (fmt.kind == KvKind::kFp32) {
+        std::memcpy(out.data(), row.data(), 4 * row.size());
+        return;
+    }
+    pack_quantized<quantize_group, true>(fmt, row, out);
 }
 
 void
 kv_unpack_row_serial(const KvFormat &fmt, std::span<const std::byte> in,
                      std::span<float> out)
 {
-    unpack_row(fmt, in, out, /*serial=*/true);
+    ANDA_DCHECK_EQ(in.size(), kv_row_bytes(fmt, out.size()),
+                   "packed KV row span size mismatch");
+    switch (fmt.kind) {
+    case KvKind::kFp32:
+        std::memcpy(out.data(), in.data(), 4 * out.size());
+        break;
+    case KvKind::kBfp:
+        unpack_bfp(fmt, in, out, /*serial=*/true);
+        break;
+    case KvKind::kAnda:
+        unpack_anda_serial(fmt, in, out);
+        break;
+    }
 }
 
 std::vector<float>

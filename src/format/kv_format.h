@@ -22,17 +22,22 @@
 ///
 /// Both quantized kinds support truncation (the hardware default, as
 /// in encode_bfp_group) and round-to-nearest with saturation at the
-/// mantissa ceiling. kv_pack_row / kv_unpack_row are the word-level
-/// fast paths; kv_pack_row_serial / kv_unpack_row_serial emit and
-/// reassemble one bit per step the way the bit-plane hardware does,
-/// and tests assert the fast paths are byte-identical to them (the
-/// oracle pattern of kernels/gemm.h's anda_group_dot).
+/// mantissa ceiling. kv_pack_row / kv_unpack_row are the fast paths,
+/// run on the widest vector ISA the host supports (common/simd.h): the
+/// quantizer's FP16 conversions and shifts, and the kAnda unpack's
+/// plane transpose, work on group members in lanes.
+/// kv_pack_row_serial / kv_unpack_row_serial quantize one element at a
+/// time and emit and reassemble one bit per step the way the bit-plane
+/// hardware does, and tests assert every fast-path instantiation is
+/// byte-identical to them (the oracle pattern of kernels/gemm.h's
+/// anda_group_dot).
 
 #include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/simd.h"
 #include "format/anda_tensor.h"
 
 namespace anda {
@@ -92,7 +97,7 @@ void kv_validate(const KvFormat &fmt);
 /// zero-padded to a full group (kAnda).
 std::size_t kv_row_bytes(const KvFormat &fmt, std::size_t n);
 
-/// Packs one row (word-level fast path). `out.size()` must equal
+/// Packs one row (vectorized fast path). `out.size()` must equal
 /// kv_row_bytes(fmt, row.size()). Quantized kinds round values
 /// through FP16 first, as everywhere in the deployment substrate;
 /// kFp32 stores the raw float bytes untouched.
@@ -114,6 +119,24 @@ void kv_pack_row_serial(const KvFormat &fmt, std::span<const float> row,
 void kv_unpack_row_serial(const KvFormat &fmt,
                           std::span<const std::byte> in,
                           std::span<float> out);
+
+namespace detail {
+
+/// Signatures of one ISA instantiation of kv_pack_row / kv_unpack_row
+/// for the quantized kinds (kBfp, kAnda; span sizes already checked).
+/// kFp32 rows are raw copies and do not reach them.
+using KvPackRowFn = void(const KvFormat &fmt, std::span<const float> row,
+                         std::span<std::byte> out);
+using KvUnpackRowFn = void(const KvFormat &fmt,
+                           std::span<const std::byte> in,
+                           std::span<float> out);
+
+/// Every instantiation, widest first (tests run each one the host
+/// supports against the bit-serial oracles).
+std::span<const simd::Variant<KvPackRowFn>> kv_pack_row_variants();
+std::span<const simd::Variant<KvUnpackRowFn>> kv_unpack_row_variants();
+
+}  // namespace detail
 
 /// Pack + unpack convenience: the values a cache in `fmt` would hand
 /// back for `row` (the drop-in used by accuracy sweeps and tests).

@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <span>
 
+#include "common/simd.h"
+
 namespace anda {
 
 /// LayerNorm over the last dimension with per-channel gain (bias-free).
@@ -37,17 +39,38 @@ void rope_inplace(std::span<float> head, int pos);
 /// [col, col + head_dim) of every row, so the rows can sit in place in
 /// a projection block, a KV cache page or an unpack buffer. Query row
 /// i attends to keys [0, min(k.size(), q_offset + i + 1)) and its
-/// context is accumulated in place in out[i][col, col + head_dim),
-/// which must not overlap any q, k or v row. Every output is summed in
+/// context is written to out[i][col, col + head_dim), which must not
+/// overlap any q, k or v row. Every output is summed in
 /// the same order as the plain scalar loops (scores over channels
 /// ascending, context over keys ascending, both from 0.0f), so the
-/// result does not depend on how the loops are vectorized.
+/// result does not depend on how the loops are vectorized. Runs the
+/// widest vector instantiation the host supports (common/simd.h):
+/// query rows in tiles of up to four, scores against 16-key blocks of
+/// the transposed K and context over the V rows, both accumulated in
+/// registers.
 void causal_attention_head(std::span<const float *const> q,
                            std::span<const float *const> k,
                            std::span<const float *const> v,
                            std::size_t col, std::size_t head_dim,
                            std::size_t q_offset,
                            std::span<float *const> out);
+
+namespace detail {
+
+/// Signature of one ISA instantiation of causal_attention_head.
+using CausalAttentionHeadFn = void(std::span<const float *const> q,
+                                   std::span<const float *const> k,
+                                   std::span<const float *const> v,
+                                   std::size_t col, std::size_t head_dim,
+                                   std::size_t q_offset,
+                                   std::span<float *const> out);
+
+/// Every instantiation, widest first (tests run each one the host
+/// supports).
+std::span<const simd::Variant<CausalAttentionHeadFn>>
+causal_attention_head_variants();
+
+}  // namespace detail
 
 /// Log-softmax of one row returned as the log-probability of `target`.
 double log_prob_of(std::span<const float> logits, int target);

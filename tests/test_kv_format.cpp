@@ -13,10 +13,13 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <iostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "format/bfp.h"
 #include "format/kv_format.h"
 #include "llm/kv_pages.h"
@@ -138,6 +141,42 @@ TEST(KvFormat, Fp32PackIsRawBytes)
     }
 }
 
+/// Row of the quantizer's edge cases: signed zeros, FP16 subnormals
+/// (the smallest included), the FP16 maximum, and significands of all
+/// ones, which round-to-nearest carries past the mantissa ceiling
+/// (saturation) whenever they set the group exponent.
+std::vector<float>
+edge_row(SplitMix64 &rng, std::size_t n)
+{
+    std::vector<float> row(n);
+    for (float &v : row) {
+        const float sgn = rng.uniform_index(2) ? -1.0f : 1.0f;
+        switch (rng.uniform_index(6)) {
+        case 0:
+            v = sgn * 0.0f;
+            break;
+        case 1:
+            v = sgn * 0x1.0p-24f;
+            break;
+        case 2:
+            v = sgn * static_cast<float>(1 + rng.uniform_index(1023)) *
+                0x1.0p-24f;
+            break;
+        case 3:
+            v = sgn * 65504.0f;
+            break;
+        case 4:
+            v = sgn * 0x1.ffcp0f *
+                std::ldexp(1.0f, static_cast<int>(rng.uniform_index(8)));
+            break;
+        default:
+            v = rng.uniform(-3.0f, 3.0f);
+            break;
+        }
+    }
+    return row;
+}
+
 TEST(KvFormat, FastPathMatchesBitSerialOracle)
 {
     SplitMix64 rng(22);
@@ -146,31 +185,70 @@ TEST(KvFormat, FastPathMatchesBitSerialOracle)
     // single-element rows for every group size above.
     const std::size_t lengths[] = {1, 2, 31, 32, 33, 63, 64, 65, 100,
                                    101, 128, 200};
+    std::string ran;
+    for (const auto &variant : detail::kv_pack_row_variants()) {
+        if (simd::isa_supported(variant.isa)) {
+            ran += std::string(ran.empty() ? "" : ", ") +
+                   simd::isa_name(variant.isa);
+        }
+    }
+    std::cout << "[ INFO     ] KV pack/unpack variants run: " << ran
+              << "\n";
+    ASSERT_FALSE(ran.empty());
     for (const KvFormat &fmt : fmts) {
         for (const std::size_t n : lengths) {
-            const std::vector<float> row = random_row(rng, n);
-            const std::size_t bytes = kv_row_bytes(fmt, n);
-            std::vector<std::byte> fast(bytes);
-            std::vector<std::byte> serial(bytes);
-            kv_pack_row(fmt, row, fast);
-            kv_pack_row_serial(fmt, row, serial);
-            ASSERT_EQ(std::memcmp(fast.data(), serial.data(), bytes),
-                      0)
-                << fmt.name() << " n=" << n;
-
-            std::vector<float> out_fast(n);
-            std::vector<float> out_serial(n);
-            kv_unpack_row(fmt, fast, out_fast);
-            kv_unpack_row_serial(fmt, fast, out_serial);
-            ASSERT_EQ(std::memcmp(out_fast.data(), out_serial.data(),
-                                  4 * n),
-                      0)
-                << fmt.name() << " n=" << n;
-            for (const float v : out_fast) {
-                ASSERT_TRUE(std::isfinite(v));
+            for (const bool edges : {false, true}) {
+                const std::vector<float> row =
+                    edges ? edge_row(rng, n) : random_row(rng, n);
+                const std::size_t bytes = kv_row_bytes(fmt, n);
+                std::vector<std::byte> serial(bytes);
+                kv_pack_row_serial(fmt, row, serial);
+                std::vector<float> want(n);
+                kv_unpack_row_serial(fmt, serial, want);
+                for (const float v : want) {
+                    ASSERT_TRUE(std::isfinite(v));
+                }
+                for (const auto &pack : detail::kv_pack_row_variants()) {
+                    if (!simd::isa_supported(pack.isa)) {
+                        continue;
+                    }
+                    std::vector<std::byte> fast(bytes, std::byte{0xa5});
+                    pack.run(fmt, row, fast);
+                    ASSERT_EQ(std::memcmp(fast.data(), serial.data(),
+                                          bytes),
+                              0)
+                        << simd::isa_name(pack.isa) << " " << fmt.name()
+                        << " n=" << n << " edges=" << edges;
+                }
+                for (const auto &unpack :
+                     detail::kv_unpack_row_variants()) {
+                    if (!simd::isa_supported(unpack.isa)) {
+                        continue;
+                    }
+                    std::vector<float> got(n, 7.0f);
+                    unpack.run(fmt, serial, got);
+                    ASSERT_EQ(std::memcmp(got.data(), want.data(), 4 * n),
+                              0)
+                        << simd::isa_name(unpack.isa) << " "
+                        << fmt.name() << " n=" << n
+                        << " edges=" << edges;
+                }
             }
         }
     }
+    // The dispatched entry points.
+    const KvFormat fmt = KvFormat::anda(7);
+    const std::vector<float> row = edge_row(rng, 128);
+    std::vector<std::byte> fast(kv_row_bytes(fmt, 128));
+    std::vector<std::byte> serial(fast.size());
+    kv_pack_row(fmt, row, fast);
+    kv_pack_row_serial(fmt, row, serial);
+    EXPECT_EQ(std::memcmp(fast.data(), serial.data(), fast.size()), 0);
+    std::vector<float> got(128);
+    std::vector<float> want(128);
+    kv_unpack_row(fmt, fast, got);
+    kv_unpack_row_serial(fmt, fast, want);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), 4 * 128), 0);
 }
 
 TEST(KvFormat, RoundtripIsIdempotent)

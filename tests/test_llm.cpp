@@ -6,10 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "llm/corpus.h"
 #include "llm/ops.h"
 #include "llm/transformer.h"
@@ -156,12 +160,106 @@ fill_attention_input(Matrix &m, SplitMix64 &rng)
     }
 }
 
+// Runs every attention variant the host supports on one shape (a
+// random head of kHeads, q_offset over `offsets`) and memcmp's each
+// against reference_attention_head.
+void
+check_attention_shape(SplitMix64 &rng, std::size_t hd, std::size_t n_q,
+                      std::size_t kv_len,
+                      const std::vector<std::size_t> &offsets)
+{
+    constexpr std::size_t kHeads = 3;
+    const std::size_t width = kHeads * hd;
+    Matrix q(n_q, width);
+    Matrix k(kv_len, width);
+    Matrix v(kv_len, width);
+    fill_attention_input(q, rng);
+    fill_attention_input(k, rng);
+    fill_attention_input(v, rng);
+    std::vector<const float *> qrows;
+    std::vector<const float *> krows;
+    std::vector<const float *> vrows;
+    for (std::size_t t = 0; t < n_q; ++t) {
+        qrows.push_back(q.row(t).data());
+    }
+    for (std::size_t t = 0; t < kv_len; ++t) {
+        krows.push_back(k.row(t).data());
+        vrows.push_back(v.row(t).data());
+    }
+    const std::size_t col = rng.uniform_index(kHeads) * hd;
+    Matrix qh(n_q, hd);
+    Matrix kh(kv_len, hd);
+    Matrix vh(kv_len, hd);
+    for (std::size_t t = 0; t < n_q; ++t) {
+        std::copy_n(q.row(t).data() + col, hd, qh.row(t).data());
+    }
+    for (std::size_t t = 0; t < kv_len; ++t) {
+        std::copy_n(k.row(t).data() + col, hd, kh.row(t).data());
+        std::copy_n(v.row(t).data() + col, hd, vh.row(t).data());
+    }
+    for (const std::size_t q_offset : offsets) {
+        Matrix want(n_q, hd);
+        reference_attention_head(qh, kh, vh, kv_len, q_offset, want);
+        for (const auto &variant :
+             detail::causal_attention_head_variants()) {
+            if (!simd::isa_supported(variant.isa)) {
+                continue;
+            }
+            Matrix got(n_q, width);
+            got.fill(7.0f);
+            std::vector<float *> orows;
+            for (std::size_t t = 0; t < n_q; ++t) {
+                orows.push_back(got.row(t).data());
+            }
+            variant.run(qrows, krows, vrows, col, hd, q_offset, orows);
+            for (std::size_t t = 0; t < n_q; ++t) {
+                EXPECT_EQ(std::memcmp(got.row(t).data() + col,
+                                      want.row(t).data(),
+                                      hd * sizeof(float)),
+                          0)
+                    << simd::isa_name(variant.isa) << " hd=" << hd
+                    << " n_q=" << n_q << " kv_len=" << kv_len
+                    << " q_offset=" << q_offset << " row=" << t;
+                // Columns of the other heads are left untouched.
+                for (std::size_t c = 0; c < width; ++c) {
+                    if (c < col || c >= col + hd) {
+                        EXPECT_EQ(got(t, c), 7.0f);
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(Ops, CausalAttentionHeadMatchesScalarReferenceBitForBit)
 {
+    std::string ran;
+    for (const auto &variant : detail::causal_attention_head_variants()) {
+        if (simd::isa_supported(variant.isa)) {
+            ran += std::string(ran.empty() ? "" : ", ") +
+                   simd::isa_name(variant.isa);
+        }
+    }
+    std::cout << "[ INFO     ] attention variants run: " << ran << "\n";
+    ASSERT_FALSE(ran.empty());
     SplitMix64 rng(2024);
-    constexpr std::size_t kHeads = 3;
+    // Tile edges: query counts off a multiple of 4, kv_len off a
+    // multiple of 16, a head narrower than one vector (8) or off a
+    // multiple of 4 (10), and q_offset 0 with several query rows.
+    for (const std::size_t hd : {8u, 10u, 32u}) {
+        for (const auto &[n_q, kv_len] :
+             {std::pair<std::size_t, std::size_t>{1, 1},
+              {3, 3},
+              {5, 17},
+              {6, 33},
+              {7, 64},
+              {9, 100},
+              {4, 16}}) {
+            check_attention_shape(rng, hd, n_q, kv_len,
+                                  {0, kv_len - n_q, kv_len});
+        }
+    }
     for (const std::size_t hd : {8u, 32u, 64u}) {
-        const std::size_t width = kHeads * hd;
         for (int trial = 0; trial < 12; ++trial) {
             const std::size_t n_q = 1 + rng.uniform_index(33);
             const std::size_t kv_len =
@@ -174,63 +272,34 @@ TEST(Ops, CausalAttentionHeadMatchesScalarReferenceBitForBit)
             if (edge > 0) {
                 offsets.push_back(edge - 1);
             }
-            Matrix q(n_q, width);
-            Matrix k(kv_len, width);
-            Matrix v(kv_len, width);
-            fill_attention_input(q, rng);
-            fill_attention_input(k, rng);
-            fill_attention_input(v, rng);
-            std::vector<const float *> qrows;
-            std::vector<const float *> krows;
-            std::vector<const float *> vrows;
-            for (std::size_t t = 0; t < n_q; ++t) {
-                qrows.push_back(q.row(t).data());
-            }
-            for (std::size_t t = 0; t < kv_len; ++t) {
-                krows.push_back(k.row(t).data());
-                vrows.push_back(v.row(t).data());
-            }
-            const std::size_t h = rng.uniform_index(kHeads);
-            const std::size_t col = h * hd;
-            Matrix qh(n_q, hd);
-            Matrix kh(kv_len, hd);
-            Matrix vh(kv_len, hd);
-            for (std::size_t t = 0; t < n_q; ++t) {
-                std::copy_n(q.row(t).data() + col, hd, qh.row(t).data());
-            }
-            for (std::size_t t = 0; t < kv_len; ++t) {
-                std::copy_n(k.row(t).data() + col, hd, kh.row(t).data());
-                std::copy_n(v.row(t).data() + col, hd, vh.row(t).data());
-            }
-            for (const std::size_t q_offset : offsets) {
-                Matrix want(n_q, hd);
-                reference_attention_head(qh, kh, vh, kv_len, q_offset,
-                                         want);
-                Matrix got(n_q, width);
-                got.fill(7.0f);
-                std::vector<float *> orows;
-                for (std::size_t t = 0; t < n_q; ++t) {
-                    orows.push_back(got.row(t).data());
-                }
-                causal_attention_head(qrows, krows, vrows, col, hd,
-                                      q_offset, orows);
-                for (std::size_t t = 0; t < n_q; ++t) {
-                    EXPECT_EQ(std::memcmp(got.row(t).data() + col,
-                                          want.row(t).data(),
-                                          hd * sizeof(float)),
-                              0)
-                        << "hd=" << hd << " kv_len=" << kv_len
-                        << " q_offset=" << q_offset << " row=" << t;
-                    // Columns of the other heads are left untouched.
-                    for (std::size_t c = 0; c < width; ++c) {
-                        if (c < col || c >= col + hd) {
-                            ASSERT_EQ(got(t, c), 7.0f);
-                        }
-                    }
-                }
-            }
+            check_attention_shape(rng, hd, n_q, kv_len, offsets);
         }
     }
+    // The dispatched entry point on one prefill-chunk shape.
+    Matrix q(8, 32);
+    Matrix k(40, 32);
+    Matrix v(40, 32);
+    fill_attention_input(q, rng);
+    fill_attention_input(k, rng);
+    fill_attention_input(v, rng);
+    Matrix want(8, 32);
+    reference_attention_head(q, k, v, 40, 32, want);
+    std::vector<const float *> qrows;
+    std::vector<float *> orows;
+    std::vector<const float *> krows;
+    std::vector<const float *> vrows;
+    Matrix got(8, 32);
+    for (std::size_t t = 0; t < 8; ++t) {
+        qrows.push_back(q.row(t).data());
+        orows.push_back(got.row(t).data());
+    }
+    for (std::size_t t = 0; t < 40; ++t) {
+        krows.push_back(k.row(t).data());
+        vrows.push_back(v.row(t).data());
+    }
+    causal_attention_head(qrows, krows, vrows, 0, 32, 32, orows);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), 8 * 32 * sizeof(float)),
+              0);
 }
 
 TEST(ModelZoo, HasNineModelsInPaperOrder)
