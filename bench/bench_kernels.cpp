@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark) of the format conversion and
 // GeMM kernels (the float tap GeMM included) — the software cost of
-// the operations the Anda hardware accelerates — plus the KV unpack
-// and attention kernels of decode, and the hw model's pricing of one
-// serving decode step.
+// the operations the Anda hardware accelerates — plus the KV unpack,
+// attention, softmax and RoPE kernels of decode, and the hw model's
+// pricing of one serving decode step.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "format/compressor.h"
 #include "format/kv_format.h"
 #include "hw/workload.h"
@@ -286,6 +288,99 @@ BENCHMARK(BM_CausalAttentionHead)
     ->Args({512, 1})
     ->Args({1024, 1})
     ->Args({1024, 512});
+
+// One attention row's softmax over n scores (a decode query over an
+// n-key context) with the widest vector variant the attention kernel
+// inlines; BM_SoftmaxInplace is its scalar oracle on the same rows.
+// Each iteration restores the scores first (an n-float copy).
+template <class Fn>
+void
+softmax_row_bench(benchmark::State &state, Fn *softmax)
+{
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    auto scores = random_values(n, 13);
+    for (float &x : scores) {
+        x *= 2.0f;
+    }
+    std::vector<float> row(n);
+    for (auto _ : state) {
+        std::copy(scores.begin(), scores.end(), row.begin());
+        softmax(row);
+        benchmark::DoNotOptimize(row.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n));
+}
+
+void
+BM_SoftmaxRow(benchmark::State &state)
+{
+    softmax_row_bench(state,
+                      simd::widest_supported(detail::softmax_variants()));
+}
+BENCHMARK(BM_SoftmaxRow)->Arg(64)->Arg(512)->Arg(1024);
+
+void
+BM_SoftmaxInplace(benchmark::State &state)
+{
+    softmax_row_bench(state, &softmax_inplace);
+}
+BENCHMARK(BM_SoftmaxInplace)->Arg(64)->Arg(512)->Arg(1024);
+
+// RoPE of one LLaMA layer over 64 packed rows of the sim models (4
+// heads of 32 per 128-wide row, q and k): the angles of each row once,
+// then every head of its q and k rotated (BM_RopeRows), against
+// rope_inplace per head, which evaluates pow, cos and sin for each
+// (BM_RopeRowsPerHead).
+constexpr std::size_t kRopeRows = 64;
+constexpr std::size_t kRopeWidth = 128;
+constexpr std::size_t kRopeHeadDim = 32;
+
+void
+BM_RopeRows(benchmark::State &state)
+{
+    Matrix q = random_matrix(kRopeRows, kRopeWidth, 14);
+    Matrix k = random_matrix(kRopeRows, kRopeWidth, 15);
+    std::vector<std::size_t> pos(kRopeRows);
+    for (std::size_t t = 0; t < kRopeRows; ++t) {
+        pos[t] = 200 + t;
+    }
+    Matrix angles(kRopeRows, kRopeHeadDim);
+    for (auto _ : state) {
+        rope_angles(pos, kRopeHeadDim, angles.flat());
+        for (std::size_t t = 0; t < kRopeRows; ++t) {
+            rope_rotate(q.row(t), angles.row(t));
+            rope_rotate(k.row(t), angles.row(t));
+        }
+        benchmark::DoNotOptimize(q.data());
+        benchmark::DoNotOptimize(k.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kRopeRows);
+}
+BENCHMARK(BM_RopeRows);
+
+void
+BM_RopeRowsPerHead(benchmark::State &state)
+{
+    Matrix q = random_matrix(kRopeRows, kRopeWidth, 14);
+    Matrix k = random_matrix(kRopeRows, kRopeWidth, 15);
+    for (auto _ : state) {
+        for (std::size_t t = 0; t < kRopeRows; ++t) {
+            for (std::size_t h = 0; h < kRopeWidth; h += kRopeHeadDim) {
+                const int pos = static_cast<int>(200 + t);
+                rope_inplace(q.row(t).subspan(h, kRopeHeadDim), pos);
+                rope_inplace(k.row(t).subspan(h, kRopeHeadDim), pos);
+            }
+        }
+        benchmark::DoNotOptimize(q.data());
+        benchmark::DoNotOptimize(k.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kRopeRows);
+}
+BENCHMARK(BM_RopeRowsPerHead);
 
 // The hw model prices one llama-7b decode step on the Anda system: the
 // four FP-INT taps of every layer over 8 fused rows plus one attention

@@ -27,7 +27,8 @@ isa_supported(Isa isa)
     case Isa::kBaseline:
         return true;
     case Isa::kAvx2:
-        return __builtin_cpu_supports("avx2");
+        return __builtin_cpu_supports("avx2") &&
+               __builtin_cpu_supports("fma");
     case Isa::kAvx512f:
         return __builtin_cpu_supports("avx512f");
     }

@@ -14,7 +14,16 @@
 /// Every instantiation is bit-identical to the scalar oracle it
 /// replaces: it performs the same IEEE operations in the same order,
 /// only on more lanes at a time. The build passes `-ffp-contract=off`
-/// so a wider target cannot fuse a*b+c into one FMA rounding.
+/// so a wider target cannot fuse a*b+c into one FMA rounding; every FMA
+/// a kernel performs is written explicitly, with an intrinsic, where the
+/// oracle has one. `kAvx2` therefore means AVX2 plus FMA (the condition
+/// under which glibc itself picks its FMA builds of libm functions).
+///
+/// The one oracle with FMAs is libm's `expf`: the attention softmax and
+/// the SwiGLU gate run glibc's `__expf_fma` algorithm in double lanes
+/// (llm/ops.cpp), so on a glibc x86-64 build their exp is bit-identical
+/// to the `std::exp(float)` the baseline variant calls, wherever it
+/// runs. Other builds call `std::exp` in every variant.
 ///
 /// Vectors never cross a call boundary by value. Helpers shared by the
 /// instantiations take and return them through references and are
@@ -26,7 +35,7 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 #define ANDA_SIMD_X86 1
-#define ANDA_TARGET_AVX2 __attribute__((target("avx2")))
+#define ANDA_TARGET_AVX2 __attribute__((target("avx2,fma")))
 #define ANDA_TARGET_AVX512F __attribute__((target("avx512f")))
 #else
 #define ANDA_SIMD_X86 0
@@ -35,7 +44,8 @@
 namespace anda::simd {
 
 /// ISA levels a kernel is instantiated for. kBaseline is the build's
-/// own target (SSE2 on x86-64) and runs everywhere.
+/// own target (SSE2 on x86-64) and runs everywhere; kAvx2 is AVX2 with
+/// FMA.
 enum class Isa { kBaseline, kAvx2, kAvx512f };
 
 /// Short lowercase name ("baseline", "avx2", "avx512f").
@@ -53,6 +63,10 @@ using u32x16 = std::uint32_t __attribute__((vector_size(64)));
 using i32x4 = std::int32_t __attribute__((vector_size(16)));
 using i32x8 = std::int32_t __attribute__((vector_size(32)));
 using i32x16 = std::int32_t __attribute__((vector_size(64)));
+using f64x4 = double __attribute__((vector_size(32)));
+using f64x8 = double __attribute__((vector_size(64)));
+using u64x4 = std::uint64_t __attribute__((vector_size(32)));
+using u64x8 = std::uint64_t __attribute__((vector_size(64)));
 
 /// One ISA instantiation of a kernel with signature Fn.
 template <class Fn>

@@ -2,11 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
+
+// The vector exp replicates glibc's expf, so it is built only where
+// std::exp(float) is glibc's (since 2.27) on x86-64; elsewhere every
+// variant calls std::exp.
+#if defined(__x86_64__) && defined(__GLIBC__)
+#if __GLIBC_PREREQ(2, 27)
+#define ANDA_GLIBC_EXPF 1
+#endif
+#endif
+#ifndef ANDA_GLIBC_EXPF
+#define ANDA_GLIBC_EXPF 0
+#endif
+
+#if ANDA_GLIBC_EXPF
+#include <immintrin.h>
+#endif
 
 namespace anda {
 
@@ -98,7 +116,354 @@ rope_inplace(std::span<float> head, int pos)
     }
 }
 
+void
+rope_angles(std::span<const std::size_t> pos, std::size_t head_dim,
+            std::span<float> cos_sin)
+{
+    ANDA_DCHECK_EQ(head_dim % 2, 0u, "RoPE head dimension must be even");
+    ANDA_DCHECK_EQ(cos_sin.size(), pos.size() * head_dim,
+                   "RoPE angle table shape mismatch");
+    const std::size_t half = head_dim / 2;
+    std::vector<double> freq(half);
+    for (std::size_t i = 0; i < half; ++i) {
+        freq[i] = std::pow(10000.0, -2.0 * static_cast<double>(i) /
+                                        static_cast<double>(head_dim));
+    }
+    for (std::size_t t = 0; t < pos.size(); ++t) {
+        float *cs = cos_sin.data() + t * head_dim;
+        for (std::size_t i = 0; i < half; ++i) {
+            const double angle = static_cast<double>(pos[t]) * freq[i];
+            cs[i] = static_cast<float>(std::cos(angle));
+            cs[half + i] = static_cast<float>(std::sin(angle));
+        }
+    }
+}
+
+void
+rope_rotate(std::span<float> row, std::span<const float> cos_sin)
+{
+    const std::size_t hd = cos_sin.size();
+    ANDA_DCHECK(hd % 2 == 0 && row.size() % hd == 0,
+                "RoPE row is not a whole number of even heads");
+    const std::size_t half = hd / 2;
+    for (std::size_t h = 0; h < row.size(); h += hd) {
+        float *head = row.data() + h;
+        for (std::size_t i = 0; i < half; ++i) {
+            const float c = cos_sin[i];
+            const float s = cos_sin[half + i];
+            const float a = head[i];
+            const float b = head[i + half];
+            head[i] = a * c - b * s;
+            head[i + half] = a * s + b * c;
+        }
+    }
+}
+
 namespace {
+
+// ---- The softmax exp ----
+//
+// The baseline variant calls std::exp per element (ExpLibm). The wider
+// ones run glibc's expf (sysdeps/ieee754/flt-32/e_expf.c, in the
+// __expf_fma build that x86-64 glibc picks on AVX2+FMA hosts) with one
+// double lane per element (ExpLanes): with z = x * 32 / ln2, k = z
+// rounded to an integer and r = z - k,
+// exp(x) = 2^(k/32) * (1 + C2 r + C1 r^2 + C0 r^3), where 2^(k/32) is
+// a table entry for k mod 32 with k's high bits added to its exponent
+// field. The FMAs sit where GCC contracts glibc's source under -mfma,
+// so each lane rounds exactly as that expf does.
+
+// Calls std::exp one element at a time.
+struct ExpLibm {};
+
+#if ANDA_GLIBC_EXPF
+// Float lanes F (with their comparison mask I), and the double lanes D
+// and 64-bit integer lanes U of the same lane count.
+template <class F, class I, class D, class U>
+struct ExpLanes {
+    using Float = F;
+    using Mask = I;
+    using Double = D;
+    using Bits = U;
+};
+using ExpAvx2 =
+    ExpLanes<simd::f32x4, simd::i32x4, simd::f64x4, simd::u64x4>;
+using ExpAvx512f =
+    ExpLanes<simd::f32x8, simd::i32x8, simd::f64x8, simd::u64x8>;
+
+// glibc's __exp2f_data: 2^(i/32) as double bits minus i << 47, the
+// scaled 1/ln2 and rounding shift, and the cubic's coefficients
+// divided by 32^3, 32^2 and 32.
+constexpr std::uint64_t kExp2Table[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+constexpr double kInvLn2N = 0x1.71547652b82fep0 * 32;
+constexpr double kShift = 0x1.8p52;
+constexpr double kC0 = 0x1.c6af84b912394p-5 / (32.0 * 32.0 * 32.0);
+constexpr double kC1 = 0x1.ebfce50fac4f3p-3 / (32.0 * 32.0);
+constexpr double kC2 = 0x1.62e42ff0c52d6p-1 / 32.0;
+
+// out = a * b + c with one rounding, per lane. Not always_inline: GCC
+// refuses to inline a function with a target attribute into the
+// untargeted templates that call it, but inlines it once those are
+// inlined into a variant; the vectors travel by reference either way.
+ANDA_TARGET_AVX2 inline void
+fma_lanes(const simd::f64x4 &a, const simd::f64x4 &b, const simd::f64x4 &c,
+          simd::f64x4 &out)
+{
+    out = (simd::f64x4)_mm256_fmadd_pd((__m256d)a, (__m256d)b, (__m256d)c);
+}
+
+ANDA_TARGET_AVX512F inline void
+fma_lanes(const simd::f64x8 &a, const simd::f64x8 &b, const simd::f64x8 &c,
+          simd::f64x8 &out)
+{
+    out = (simd::f64x8)_mm512_fmadd_pd((__m512d)a, (__m512d)b, (__m512d)c);
+}
+
+// t = kExp2Table[i] per lane: four loads, as a gather is no faster,
+// and far slower on CPUs with the gather-data-sampling microcode fix.
+[[gnu::always_inline]] inline void
+exp2_table(const simd::u64x4 &i, simd::u64x4 &t)
+{
+    t = simd::u64x4{kExp2Table[i[0]], kExp2Table[i[1]], kExp2Table[i[2]],
+                    kExp2Table[i[3]]};
+}
+
+ANDA_TARGET_AVX512F inline void
+exp2_table(const simd::u64x8 &i, simd::u64x8 &t)
+{
+    // Two-source permutes of the table's quarters (index bits 0-3),
+    // then bit 4 picks the half: cheaper than a gather.
+    __m512i q[4];
+    std::memcpy(q, kExp2Table, sizeof q);
+    const __m512i idx = (__m512i)i;
+    const __m512i lo = _mm512_permutex2var_epi64(q[0], idx, q[1]);
+    const __m512i hi = _mm512_permutex2var_epi64(q[2], idx, q[3]);
+    t = (simd::u64x8)_mm512_mask_blend_epi64(
+        _mm512_test_epi64_mask(idx, _mm512_set1_epi64(16)), lo, hi);
+}
+
+// y = expf(x) per lane; y may be x.
+template <class E>
+[[gnu::always_inline]] inline void
+expf_lanes(const typename E::Float &x, typename E::Float &y)
+{
+    using F = typename E::Float;
+    using I = typename E::Mask;
+    using D = typename E::Double;
+    using U = typename E::Bits;
+    const D xd = __builtin_convertvector(x, D);
+    D kd;
+    fma_lanes(xd, D{} + kInvLn2N, D{} + kShift, kd);
+    U ki;
+    std::memcpy(&ki, &kd, sizeof ki);
+    kd -= kShift;
+    D r;
+    fma_lanes(xd, D{} + kInvLn2N, -kd, r);
+    U t;
+    exp2_table(ki & 31u, t);
+    t += ki << 47;
+    D s;
+    std::memcpy(&s, &t, sizeof s);
+    D z;
+    D p;
+    fma_lanes(r, D{} + kC0, D{} + kC1, z);
+    fma_lanes(r, D{} + kC2, D{} + 1.0, p);
+    fma_lanes(z, r * r, p, p);
+    // glibc's special cases: +0 below log(2^-150) and at -inf, +inf
+    // above log(2^128) and at +inf, and NaN in gives NaN (x + x).
+    const I under = x < -0x1.9fe368p6f;
+    const I over = x > 0x1.62e42ep6f;
+    const I nan = x != x;
+    const I inf = (I)(F{} + INFINITY);
+    const I nan_out = (I)(x + x);
+    const I e = (I)__builtin_convertvector(p * s, F);
+    y = (F)((e & ~(under | over | nan)) | (inf & over) | (nan_out & nan));
+}
+#else
+using ExpAvx2 = ExpLibm;
+using ExpAvx512f = ExpLibm;
+#endif
+
+// v = p[0, m) and zeros after, m <= lanes of F; a whole vector is one
+// load.
+template <class F>
+[[gnu::always_inline]] inline void
+load_lanes(const float *p, std::size_t m, F &v)
+{
+    if (m == sizeof(F) / sizeof(float)) {
+        std::memcpy(&v, p, sizeof v);
+    } else {
+        v = F{};
+        for (std::size_t l = 0; l < m; ++l) {
+            v[l] = p[l];
+        }
+    }
+}
+
+// p[0, m) = the first m lanes of v.
+template <class F>
+[[gnu::always_inline]] inline void
+store_lanes(const F &v, std::size_t m, float *p)
+{
+    if (m == sizeof(F) / sizeof(float)) {
+        std::memcpy(p, &v, sizeof v);
+    } else {
+        for (std::size_t l = 0; l < m; ++l) {
+            p[l] = v[l];
+        }
+    }
+}
+
+// b = mask ? a : b per lane.
+template <class V, class I>
+[[gnu::always_inline]] inline void
+select_lanes(const I &mask, const V &a, V &b)
+{
+    b = (V)(((I)a & mask) | ((I)b & ~mask));
+}
+
+// Maximum of x[0, n), n > 0, as softmax_inplace's std::max sequence
+// finds it: a NaN x[0] is the result and any later NaN is skipped.
+// Only the sign of a zero maximum can differ, which no x[j] - max
+// shows.
+template <class V>
+[[gnu::always_inline]] inline float
+row_max(const float *x, std::size_t n)
+{
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+    float mx = x[0];
+    std::size_t j = 0;
+    if (n >= kLanes) {
+        V m = V{} + mx;
+        for (; j + kLanes <= n; j += kLanes) {
+            V v;
+            std::memcpy(&v, x + j, sizeof v);
+            select_lanes(m < v, v, m);
+        }
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            mx = std::max(mx, m[l]);
+        }
+    }
+    for (; j < n; ++j) {
+        mx = std::max(mx, x[j]);
+    }
+    return mx;
+}
+
+// x[j] = expf(x[j] - mx) for j < n.
+template <class E>
+[[gnu::always_inline]] inline void
+exp_shifted(float *x, std::size_t n, float mx)
+{
+    if constexpr (std::is_same_v<E, ExpLibm>) {
+        for (std::size_t j = 0; j < n; ++j) {
+            x[j] = std::exp(x[j] - mx);
+        }
+    } else {
+        constexpr std::size_t kLanes =
+            sizeof(typename E::Float) / sizeof(float);
+        for (std::size_t j = 0; j < n; j += kLanes) {
+            const std::size_t m = std::min(kLanes, n - j);
+            typename E::Float v;
+            load_lanes(x + j, m, v);
+            v -= mx;
+            expf_lanes<E>(v, v);
+            store_lanes(v, m, x + j);
+        }
+    }
+}
+
+// Softmax of R score rows in place (row r holds vis[r] scores at
+// s + r * stride; vis is non-decreasing), each bit-identical to
+// softmax_inplace: maximum and normalisation in V lanes (both exact),
+// exp in E's lanes, and each row's sum sequential in double,
+// ascending. A row's sum is a chain of dependent additions, so the
+// R rows' chains are interleaved to overlap.
+template <class E, class V, int R>
+[[gnu::always_inline]] inline void
+softmax_rows(float *s, std::size_t stride, const std::size_t (&vis)[R])
+{
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+    if (vis[0] == 0) {
+        return;  // No keys: every row is empty.
+    }
+    for (int r = 0; r < R; ++r) {
+        float *x = s + r * stride;
+        exp_shifted<E>(x, vis[r], row_max<V>(x, vis[r]));
+    }
+    double sum[R] = {};
+    for (std::size_t j = 0; j < vis[0]; ++j) {
+        for (int r = 0; r < R; ++r) {
+            sum[r] += s[r * stride + j];
+        }
+    }
+    for (int r = 1; r < R; ++r) {
+        for (std::size_t j = vis[0]; j < vis[r]; ++j) {
+            sum[r] += s[r * stride + j];
+        }
+    }
+    for (int r = 0; r < R; ++r) {
+        float *x = s + r * stride;
+        const float inv = static_cast<float>(1.0 / sum[r]);
+        std::size_t j = 0;
+        for (; j + kLanes <= vis[r]; j += kLanes) {
+            V v;
+            std::memcpy(&v, x + j, sizeof v);
+            v *= inv;
+            std::memcpy(x + j, &v, sizeof v);
+        }
+        for (; j < vis[r]; ++j) {
+            x[j] *= inv;
+        }
+    }
+}
+
+template <class E, class V>
+[[gnu::always_inline]] inline void
+softmax_row(std::span<float> x)
+{
+    const std::size_t vis[1] = {x.size()};
+    softmax_rows<E, V, 1>(x.data(), 0, vis);
+}
+
+// up[i] = silu(gate[i]) * up[i] with E's exp.
+template <class E>
+[[gnu::always_inline]] inline void
+swiglu_lanes(std::span<const float> gate, std::span<float> up)
+{
+    if constexpr (std::is_same_v<E, ExpLibm>) {
+        for (std::size_t i = 0; i < up.size(); ++i) {
+            up[i] = silu(gate[i]) * up[i];
+        }
+    } else {
+        using F = typename E::Float;
+        constexpr std::size_t kLanes = sizeof(F) / sizeof(float);
+        const std::size_t n = up.size();
+        for (std::size_t i = 0; i < n; i += kLanes) {
+            const std::size_t m = std::min(kLanes, n - i);
+            F g;
+            F u;
+            load_lanes(gate.data() + i, m, g);
+            load_lanes(up.data() + i, m, u);
+            F e;
+            expf_lanes<E>(-g, e);
+            u = g / (1.0f + e) * u;
+            store_lanes(u, m, up.data() + i);
+        }
+    }
+}
 
 // Keys per transposed block: one f32x16, two f32x8 or four f32x4.
 constexpr std::size_t kKeyBlock = 16;
@@ -240,7 +605,7 @@ context_tile(const float *p, std::size_t stride,
 // One tile of R query rows from row i: scores, the softmax of each
 // row's visible keys, then the context. Channels past the last whole
 // vector are summed one at a time in the same order.
-template <class V, int R, int KB, int CV>
+template <class E, class V, int R, int KB, int CV>
 [[gnu::always_inline]] inline void
 attention_tile(std::span<const float *const> q,
                std::span<const float *const> v, std::size_t col,
@@ -266,9 +631,7 @@ attention_tile(std::span<const float *const> q,
     for (; b < blocks; ++b) {
         score_tile<V, R, 1>(qr, hd, kt, b, scale, s, stride);
     }
-    for (int r = 0; r < R; ++r) {
-        softmax_inplace({s + r * stride, vis[r]});
-    }
+    softmax_rows<E, V, R>(s, stride, vis);
     const float *const *vh = v.data();
     std::size_t c = 0;
     for (; c + CV * kLanes <= hd; c += CV * kLanes) {
@@ -289,9 +652,10 @@ attention_tile(std::span<const float *const> q,
 }
 
 // The kernel over tiles of R query rows (KB key blocks per score
-// tile, CV vectors per context tile); leftover rows run one at a time
-// with KB1 / CV1, which keep more accumulators in flight for decode.
-template <class V, int R, int KB, int CV, int KB1, int CV1>
+// tile, CV vectors per context tile, exp E); leftover rows run one at
+// a time with KB1 / CV1, which keep more accumulators in flight for
+// decode.
+template <class E, class V, int R, int KB, int CV, int KB1, int CV1>
 [[gnu::always_inline]] inline void
 attention_head(std::span<const float *const> q,
                std::span<const float *const> k,
@@ -312,12 +676,12 @@ attention_head(std::span<const float *const> q,
     const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
     std::size_t i = 0;
     for (; i + R <= q.size(); i += R) {
-        attention_tile<V, R, KB, CV>(q, v, col, hd, q_offset, i, kt,
-                                     scale, s, stride, out);
+        attention_tile<E, V, R, KB, CV>(q, v, col, hd, q_offset, i, kt,
+                                        scale, s, stride, out);
     }
     for (; i < q.size(); ++i) {
-        attention_tile<V, 1, KB1, CV1>(q, v, col, hd, q_offset, i, kt,
-                                       scale, s, stride, out);
+        attention_tile<E, V, 1, KB1, CV1>(q, v, col, hd, q_offset, i,
+                                          kt, scale, s, stride, out);
     }
 }
 
@@ -329,8 +693,8 @@ attention_head_avx512f(std::span<const float *const> q,
                        std::size_t hd, std::size_t q_offset,
                        std::span<float *const> out)
 {
-    attention_head<simd::f32x16, 4, 2, 2, 4, 2>(q, k, v, col, hd,
-                                                q_offset, out);
+    attention_head<ExpAvx512f, simd::f32x16, 4, 2, 2, 4, 2>(
+        q, k, v, col, hd, q_offset, out);
 }
 
 ANDA_TARGET_AVX2 void
@@ -340,8 +704,46 @@ attention_head_avx2(std::span<const float *const> q,
                     std::size_t hd, std::size_t q_offset,
                     std::span<float *const> out)
 {
-    attention_head<simd::f32x8, 4, 1, 2, 4, 4>(q, k, v, col, hd,
-                                               q_offset, out);
+    attention_head<ExpAvx2, simd::f32x8, 4, 1, 2, 4, 4>(q, k, v, col, hd,
+                                                        q_offset, out);
+}
+
+ANDA_TARGET_AVX512F void
+expf_avx512f(std::span<const float> x, std::span<float> y)
+{
+    std::copy(x.begin(), x.end(), y.begin());
+    exp_shifted<ExpAvx512f>(y.data(), y.size(), 0.0f);
+}
+
+ANDA_TARGET_AVX2 void
+expf_avx2(std::span<const float> x, std::span<float> y)
+{
+    std::copy(x.begin(), x.end(), y.begin());
+    exp_shifted<ExpAvx2>(y.data(), y.size(), 0.0f);
+}
+
+ANDA_TARGET_AVX512F void
+softmax_avx512f(std::span<float> x)
+{
+    softmax_row<ExpAvx512f, simd::f32x16>(x);
+}
+
+ANDA_TARGET_AVX2 void
+softmax_avx2(std::span<float> x)
+{
+    softmax_row<ExpAvx2, simd::f32x8>(x);
+}
+
+ANDA_TARGET_AVX512F void
+swiglu_avx512f(std::span<const float> gate, std::span<float> up)
+{
+    swiglu_lanes<ExpAvx512f>(gate, up);
+}
+
+ANDA_TARGET_AVX2 void
+swiglu_avx2(std::span<const float> gate, std::span<float> up)
+{
+    swiglu_lanes<ExpAvx2>(gate, up);
 }
 #endif
 
@@ -352,8 +754,27 @@ attention_head_baseline(std::span<const float *const> q,
                         std::size_t hd, std::size_t q_offset,
                         std::span<float *const> out)
 {
-    attention_head<simd::f32x4, 2, 1, 4, 2, 8>(q, k, v, col, hd,
-                                               q_offset, out);
+    attention_head<ExpLibm, simd::f32x4, 2, 1, 4, 2, 8>(q, k, v, col, hd,
+                                                        q_offset, out);
+}
+
+void
+expf_baseline(std::span<const float> x, std::span<float> y)
+{
+    std::copy(x.begin(), x.end(), y.begin());
+    exp_shifted<ExpLibm>(y.data(), y.size(), 0.0f);
+}
+
+void
+softmax_baseline(std::span<float> x)
+{
+    softmax_row<ExpLibm, simd::f32x4>(x);
+}
+
+void
+swiglu_baseline(std::span<const float> gate, std::span<float> up)
+{
+    swiglu_lanes<ExpLibm>(gate, up);
 }
 
 constexpr simd::Variant<detail::CausalAttentionHeadFn>
@@ -365,12 +786,64 @@ constexpr simd::Variant<detail::CausalAttentionHeadFn>
         {simd::Isa::kBaseline, attention_head_baseline},
 };
 
+constexpr simd::Variant<detail::ExpfFn> kExpfVariants[] = {
+#if ANDA_SIMD_X86
+    {simd::Isa::kAvx512f, expf_avx512f},
+    {simd::Isa::kAvx2, expf_avx2},
+#endif
+    {simd::Isa::kBaseline, expf_baseline},
+};
+
+constexpr simd::Variant<detail::SoftmaxFn> kSoftmaxVariants[] = {
+#if ANDA_SIMD_X86
+    {simd::Isa::kAvx512f, softmax_avx512f},
+    {simd::Isa::kAvx2, softmax_avx2},
+#endif
+    {simd::Isa::kBaseline, softmax_baseline},
+};
+
+constexpr simd::Variant<detail::SwigluFn> kSwigluVariants[] = {
+#if ANDA_SIMD_X86
+    {simd::Isa::kAvx512f, swiglu_avx512f},
+    {simd::Isa::kAvx2, swiglu_avx2},
+#endif
+    {simd::Isa::kBaseline, swiglu_baseline},
+};
+
 }  // namespace
 
 std::span<const simd::Variant<detail::CausalAttentionHeadFn>>
 detail::causal_attention_head_variants()
 {
     return kAttentionHeadVariants;
+}
+
+std::span<const simd::Variant<detail::ExpfFn>>
+detail::expf_variants()
+{
+    return kExpfVariants;
+}
+
+std::span<const simd::Variant<detail::SoftmaxFn>>
+detail::softmax_variants()
+{
+    return kSoftmaxVariants;
+}
+
+std::span<const simd::Variant<detail::SwigluFn>>
+detail::swiglu_variants()
+{
+    return kSwigluVariants;
+}
+
+void
+swiglu_inplace(std::span<const float> gate, std::span<float> up)
+{
+    ANDA_DCHECK_EQ(gate.size(), up.size(),
+                   "SwiGLU spans differ in length");
+    static detail::SwigluFn *const run =
+        simd::widest_supported(detail::swiglu_variants());
+    run(gate, up);
 }
 
 void

@@ -21,7 +21,9 @@ void layer_norm(std::span<const float> x, std::span<const float> gain,
 void rms_norm(std::span<const float> x, std::span<const float> gain,
               std::span<float> out, float eps = 1e-5f);
 
-/// In-place numerically-stable softmax.
+/// In-place numerically-stable softmax: std::exp of each element minus
+/// the row maximum, summed in double in ascending order. The scalar
+/// oracle of the vector softmax inside causal_attention_head.
 void softmax_inplace(std::span<float> x);
 
 /// ReLU.
@@ -30,9 +32,29 @@ inline float relu(float x) { return x > 0.0f ? x : 0.0f; }
 /// SiLU (x * sigmoid(x)).
 float silu(float x);
 
+/// SwiGLU gate: up[i] = silu(gate[i]) * up[i], bit-identical to that
+/// scalar expression for every input (exp overflow included). Runs the
+/// widest vector instantiation the host supports, whose exp is the
+/// softmax's (common/simd.h).
+void swiglu_inplace(std::span<const float> gate, std::span<float> up);
+
 /// Applies rotary position embedding to one head vector (dim must be
-/// even); `pos` is the absolute token position.
+/// even); `pos` is the absolute token position. The scalar oracle of
+/// rope_angles + rope_rotate.
 void rope_inplace(std::span<float> head, int pos);
+
+/// RoPE angles of one head_dim-wide head (even) at each position:
+/// row t of cos_sin ([pos.size() x head_dim]) holds cos(pos[t] * f_i)
+/// in [0, head_dim / 2) and sin(pos[t] * f_i) in [head_dim / 2,
+/// head_dim), f_i = 10000^(-2i / head_dim), with rope_inplace's
+/// expressions. Each f_i is computed once per call.
+void rope_angles(std::span<const std::size_t> pos, std::size_t head_dim,
+                 std::span<float> cos_sin);
+
+/// Rotates every head of `row` (heads of cos_sin.size() columns each)
+/// by one position's row of rope_angles; bit-identical to
+/// rope_inplace on each head.
+void rope_rotate(std::span<float> row, std::span<const float> cos_sin);
 
 /// Causal single-head attention over head-strided row views: each
 /// argument holds one pointer per row, and the head occupies columns
@@ -43,11 +65,13 @@ void rope_inplace(std::span<float> head, int pos);
 /// overlap any q, k or v row. Every output is summed in
 /// the same order as the plain scalar loops (scores over channels
 /// ascending, context over keys ascending, both from 0.0f), so the
-/// result does not depend on how the loops are vectorized. Runs the
-/// widest vector instantiation the host supports (common/simd.h):
-/// query rows in tiles of up to four, scores against 16-key blocks of
-/// the transposed K and context over the V rows, both accumulated in
-/// registers.
+/// result does not depend on how the loops are vectorized, and each
+/// row's softmax is bit-identical to softmax_inplace. Runs the widest
+/// vector instantiation the host supports (common/simd.h): query rows
+/// in tiles of up to four, scores against 16-key blocks of the
+/// transposed K and context over the V rows, both accumulated in
+/// registers, and the softmax at vector width with the tile's row sums
+/// interleaved.
 void causal_attention_head(std::span<const float *const> q,
                            std::span<const float *const> k,
                            std::span<const float *const> v,
@@ -69,6 +93,21 @@ using CausalAttentionHeadFn = void(std::span<const float *const> q,
 /// supports).
 std::span<const simd::Variant<CausalAttentionHeadFn>>
 causal_attention_head_variants();
+
+/// y[i] = expf(x[i]) through the attention softmax's exp pass with a
+/// zero shift (x - 0 is x); the baseline calls std::exp. Every
+/// instantiation, widest first.
+using ExpfFn = void(std::span<const float> x, std::span<float> y);
+std::span<const simd::Variant<ExpfFn>> expf_variants();
+
+/// The row softmax inlined into each causal_attention_head
+/// instantiation, on one row. Every instantiation, widest first.
+using SoftmaxFn = void(std::span<float> x);
+std::span<const simd::Variant<SoftmaxFn>> softmax_variants();
+
+/// Every instantiation of swiglu_inplace, widest first.
+using SwigluFn = void(std::span<const float> gate, std::span<float> up);
+std::span<const simd::Variant<SwigluFn>> swiglu_variants();
 
 }  // namespace detail
 

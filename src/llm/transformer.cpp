@@ -247,7 +247,8 @@ Transformer::embed_into(std::span<const int> tokens,
 void
 Transformer::run_block(std::size_t layer, Matrix &x,
                        const RunOptions &opts, BatchKvCache *kv,
-                       std::span<const std::size_t> seq_lens) const
+                       std::span<const std::size_t> seq_lens,
+                       const Matrix &rope) const
 {
     const ModelDims &dims = cfg_.sim;
     const LayerWeights &lw = layers_[layer];
@@ -284,24 +285,9 @@ Transformer::run_block(std::size_t layer, Matrix &x,
     Matrix k = matmul_wt(a, pick(lw.wk, lw.wk_dq, opts), opts.threads);
     Matrix v = matmul_wt(a, pick(lw.wv, lw.wv_dq, opts), opts.threads);
     if (llama) {
-        std::size_t off = 0;
-        for (std::size_t s = 0; s < seq_lens.size(); ++s) {
-            const std::size_t len = seq_lens[s];
-            // Positions restart at every packed sequence boundary and,
-            // when decoding, continue from the sequence's cached
-            // prefix length.
-            const std::size_t base =
-                kv != nullptr ? kv->seq(s).length() : 0;
-            for (std::size_t t = 0; t < len; ++t) {
-                const std::size_t pos = base + t;
-                for (std::size_t h = 0; h < heads; ++h) {
-                    rope_inplace(q.row(off + t).subspan(h * hd, hd),
-                                 static_cast<int>(pos));
-                    rope_inplace(k.row(off + t).subspan(h * hd, hd),
-                                 static_cast<int>(pos));
-                }
-            }
-            off += len;
+        for (std::size_t t = 0; t < t_len; ++t) {
+            rope_rotate(q.row(t), rope.row(t));
+            rope_rotate(k.row(t), rope.row(t));
         }
     }
 
@@ -420,9 +406,7 @@ Transformer::run_block(std::size_t layer, Matrix &x,
                       opts.threads);
         hmat = matmul_wt(b, pick(lw.w_up, lw.w_up_dq, opts),
                          opts.threads);
-        for (std::size_t i = 0; i < hmat.size(); ++i) {
-            hmat.flat()[i] = silu(g.flat()[i]) * hmat.flat()[i];
-        }
+        swiglu_inplace(g.flat(), hmat.flat());
     } else {
         hmat = matmul_wt(b, pick(lw.w_up, lw.w_up_dq, opts),
                          opts.threads);
@@ -532,16 +516,30 @@ Transformer::forward_hidden(std::span<const int> tokens_flat,
     }
     Matrix x(tokens_flat.size(),
              static_cast<std::size_t>(cfg_.sim.d_model));
+    // Positions restart at every packed sequence boundary and, when
+    // decoding, continue from the sequence's cached prefix length.
+    std::vector<std::size_t> pos;
+    pos.reserve(total);
     std::size_t off = 0;
     for (std::size_t s = 0; s < seq_lens.size(); ++s) {
         const std::size_t len = seq_lens[s];
         const std::size_t base =
             kv != nullptr ? kv->seq(s).length() : 0;
         embed_into(tokens_flat.subspan(off, len), base, x, off);
+        for (std::size_t t = 0; t < len; ++t) {
+            pos.push_back(base + t);
+        }
         off += len;
     }
+    // LLaMA's RoPE angles, once per row for every layer and head.
+    Matrix rope;
+    if (cfg_.is_llama()) {
+        rope = Matrix(total, static_cast<std::size_t>(cfg_.sim.d_model /
+                                                      cfg_.sim.n_heads));
+        rope_angles(pos, rope.cols(), rope.flat());
+    }
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-        run_block(l, x, opts, kv, seq_lens);
+        run_block(l, x, opts, kv, seq_lens, rope);
     }
     if (kv != nullptr) {
         // Commit only after every layer consumed the pre-step lengths.

@@ -171,10 +171,11 @@ class Transformer {
     /// attends over its full cached prefix; the caller commits the
     /// lengths (KvSeq::advance) after all layers ran. All cache
     /// access is row-by-row through the KvSeq interface, so slab and
-    /// paged layouts take the identical compute path.
+    /// paged layouts take the identical compute path. For LLaMA, row t
+    /// of `rope` holds row t's RoPE angles (rope_angles).
     void run_block(std::size_t layer, Matrix &x, const RunOptions &opts,
-                   BatchKvCache *kv,
-                   std::span<const std::size_t> seq_lens) const;
+                   BatchKvCache *kv, std::span<const std::size_t> seq_lens,
+                   const Matrix &rope) const;
 
     const WeightPanels &pick(const WeightPanels &full,
                              const WeightPanels &dq,

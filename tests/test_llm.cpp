@@ -6,7 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <cstdint>
 #include <iostream>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,6 +90,260 @@ TEST(Ops, RopePreservesNorm)
     rope_inplace(h0, 0);
     EXPECT_FLOAT_EQ(h0[0], 1.0f);
     EXPECT_FLOAT_EQ(h0[3], 4.0f);
+}
+
+// Every variant of a detail:: table the host supports, logged under
+// `what`.
+template <class Fn>
+std::vector<simd::Variant<Fn>>
+supported_variants(std::span<const simd::Variant<Fn>> table,
+                   const char *what)
+{
+    std::vector<simd::Variant<Fn>> out;
+    std::string ran;
+    for (const auto &variant : table) {
+        if (simd::isa_supported(variant.isa)) {
+            out.push_back(variant);
+            ran += std::string(ran.empty() ? "" : ", ") +
+                   simd::isa_name(variant.isa);
+        }
+    }
+    std::cout << "[ INFO     ] " << what << " variants run: " << ran
+              << "\n";
+    return out;
+}
+
+// Bit-identical, except that any NaN matches any NaN (x86 picks which
+// operand's NaN an arithmetic op returns by operand order, which a
+// compiler may swap).
+bool
+same_float(float a, float b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0 ||
+           (std::isnan(a) && std::isnan(b));
+}
+
+TEST(Ops, VectorSoftmaxMatchesSoftmaxInplaceBitForBit)
+{
+    const auto variants =
+        supported_variants(detail::softmax_variants(), "softmax");
+    ASSERT_FALSE(variants.empty());
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    // expf gives +0 below this (log(2^-150)); x - max lands on both
+    // sides of it and of the subnormal range's top, log(2^-126).
+    const float under = -0x1.9fe368p6f;
+    const float specials[] = {
+        under,
+        std::nextafter(under, 0.0f),
+        std::nextafter(under, -kInf),
+        -87.33654f,
+        -88.5f,
+        -100.0f,
+        -kInf,
+        0.0f,
+        -0.0f,
+        1e-40f,
+    };
+    SplitMix64 rng(77);
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 1; n <= 67; ++n) {
+        lengths.push_back(n);
+    }
+    lengths.push_back(1024);
+    for (const std::size_t n : lengths) {
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<float> row(n);
+            for (float &x : row) {
+                const double u = rng.uniform();
+                if (trial > 0 && u < 0.3) {
+                    x = specials[rng.uniform_index(std::size(specials))];
+                } else {
+                    x = static_cast<float>(
+                        rng.normal(0.0, 4.0 * trial + 1));
+                }
+            }
+            if (trial == 3) {
+                // A zero maximum, so the specials are the shifted
+                // scores themselves.
+                for (float &x : row) {
+                    x = -std::fabs(x);
+                }
+                row[rng.uniform_index(n)] =
+                    rng.uniform() < 0.5 ? 0.0f : -0.0f;
+            }
+            std::vector<float> want = row;
+            softmax_inplace(want);
+            for (const auto &variant : variants) {
+                std::vector<float> got = row;
+                variant.run(got);
+                for (std::size_t j = 0; j < n; ++j) {
+                    ASSERT_TRUE(same_float(got[j], want[j]))
+                        << simd::isa_name(variant.isa) << " n=" << n
+                        << " trial=" << trial << " j=" << j << " got "
+                        << got[j] << " want " << want[j];
+                }
+            }
+        }
+    }
+    // std::max's NaN rule: a NaN first score is the maximum, a later
+    // one is skipped; either way every output is NaN.
+    for (const std::size_t nan_at : {0u, 5u, 16u}) {
+        std::vector<float> row(40);
+        for (float &x : row) {
+            x = static_cast<float>(rng.normal(0.0, 3.0));
+        }
+        row[nan_at] = kNan;
+        std::vector<float> want = row;
+        softmax_inplace(want);
+        for (const auto &variant : variants) {
+            std::vector<float> got = row;
+            variant.run(got);
+            for (std::size_t j = 0; j < row.size(); ++j) {
+                EXPECT_TRUE(same_float(got[j], want[j]))
+                    << simd::isa_name(variant.isa) << " nan_at=" << nan_at;
+            }
+        }
+    }
+}
+
+TEST(Ops, VectorExpfMatchesLibmExpf)
+{
+#if !(defined(__GLIBC__) && defined(__x86_64__))
+    GTEST_SKIP() << "the vector exp replicates glibc's x86-64 expf; this "
+                    "build calls std::exp in every variant";
+#endif
+    if (!simd::isa_supported(simd::Isa::kAvx2)) {
+        GTEST_SKIP() << "host lacks AVX2+FMA: only the std::exp baseline "
+                        "runs";
+    }
+    const auto variants =
+        supported_variants(detail::expf_variants(), "expf");
+    // Every 97th float of [-104, -0] and [+0, 89] (by bit pattern),
+    // then the special-case thresholds and their neighbours.
+    std::vector<float> x;
+    auto sweep = [&x](std::uint32_t lo, std::uint32_t hi) {
+        for (std::uint64_t b = lo; b <= hi; b += 97) {
+            const auto bits = static_cast<std::uint32_t>(b);
+            float f;
+            std::memcpy(&f, &bits, sizeof f);
+            x.push_back(f);
+        }
+    };
+    std::uint32_t neg_hi;
+    std::uint32_t pos_hi;
+    const float neg_end = -104.0f;
+    const float pos_end = 89.0f;
+    std::memcpy(&neg_hi, &neg_end, sizeof neg_hi);
+    std::memcpy(&pos_hi, &pos_end, sizeof pos_hi);
+    sweep(0x80000000u, neg_hi);
+    sweep(0u, pos_hi);
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    for (float t : {-0x1.9fe368p6f, 0x1.62e42ep6f, -0x1.9d1d9ep6f, 88.0f,
+                    -88.0f, -87.33654f, 0.0f, -0.0f, 1e-45f, -1e-45f,
+                    kInf, -kInf}) {
+        float lo = t;
+        float hi = t;
+        for (int i = 0; i < 4; ++i) {
+            x.push_back(lo);
+            x.push_back(hi);
+            lo = std::nextafter(lo, -kInf);
+            hi = std::nextafter(hi, kInf);
+        }
+    }
+    // The only two floats whose exp rounds differently when the same
+    // steps run without FMAs.
+    x.push_back(0x1.04845ep+5f);
+    x.push_back(-0x1.f8cbb2p+5f);
+    x.push_back(std::numeric_limits<float>::quiet_NaN());
+    std::vector<float> want(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        want[i] = std::exp(x[i]);
+    }
+    for (const auto &variant : variants) {
+        std::vector<float> got(x.size());
+        variant.run(x, got);
+        std::size_t bad = 0;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            if (!same_float(got[i], want[i]) && ++bad <= 5) {
+                ADD_FAILURE() << simd::isa_name(variant.isa) << " expf("
+                              << x[i] << ") = " << got[i] << ", libm "
+                              << want[i];
+            }
+        }
+        EXPECT_EQ(bad, 0u) << simd::isa_name(variant.isa) << " over "
+                           << x.size() << " inputs";
+    }
+}
+
+TEST(Ops, VectorSwigluMatchesScalarSiluBitForBit)
+{
+    const auto variants =
+        supported_variants(detail::swiglu_variants(), "swiglu");
+    ASSERT_FALSE(variants.empty());
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    // -89 and below overflow exp(-x) to +inf, so silu is -0.
+    const float specials[] = {-89.0f, -100.0f, -1e30f, 88.7f, 0.0f,
+                              -0.0f,  1e-40f,  kInf,   -kInf, 104.0f};
+    SplitMix64 rng(78);
+    for (const std::size_t n : {1u, 3u, 7u, 8u, 9u, 16u, 17u, 33u, 768u}) {
+        std::vector<float> gate(n);
+        std::vector<float> up(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const bool special = rng.uniform() < 0.25;
+            gate[i] = special
+                          ? specials[rng.uniform_index(std::size(specials))]
+                          : static_cast<float>(rng.normal(0.0, 6.0));
+            up[i] = static_cast<float>(rng.normal(0.0, 2.0));
+        }
+        std::vector<float> want(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            want[i] = silu(gate[i]) * up[i];
+        }
+        for (const auto &variant : variants) {
+            std::vector<float> got = up;
+            variant.run(gate, got);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_TRUE(same_float(got[i], want[i]))
+                    << simd::isa_name(variant.isa) << " gate=" << gate[i]
+                    << " got " << got[i] << " want " << want[i];
+            }
+        }
+    }
+    std::vector<float> gate = {-95.0f, 2.0f};
+    std::vector<float> up = {3.0f, 1.0f};
+    swiglu_inplace(gate, up);
+    EXPECT_TRUE(std::signbit(up[0]) && up[0] == 0.0f);
+    EXPECT_EQ(up[1], silu(2.0f));
+}
+
+TEST(Ops, RopeRowsMatchPerHeadRopeInplaceBitForBit)
+{
+    SplitMix64 rng(79);
+    const std::vector<std::size_t> pos = {0, 1, 7, 200, 1023, 4095};
+    for (const std::size_t hd : {2u, 8u, 32u, 64u}) {
+        for (const std::size_t heads : {1u, 3u, 4u}) {
+            Matrix angles(pos.size(), hd);
+            rope_angles(pos, hd, angles.flat());
+            for (std::size_t t = 0; t < pos.size(); ++t) {
+                std::vector<float> row(heads * hd);
+                for (float &x : row) {
+                    x = static_cast<float>(rng.normal(0.0, 2.0));
+                }
+                std::vector<float> want = row;
+                for (std::size_t h = 0; h < heads; ++h) {
+                    rope_inplace(std::span(want).subspan(h * hd, hd),
+                                 static_cast<int>(pos[t]));
+                }
+                rope_rotate(row, angles.row(t));
+                EXPECT_EQ(std::memcmp(row.data(), want.data(),
+                                      row.size() * sizeof(float)),
+                          0)
+                    << "hd=" << hd << " heads=" << heads
+                    << " pos=" << pos[t];
+            }
+        }
+    }
 }
 
 TEST(Ops, LogProbMatchesManualSoftmax)
