@@ -104,30 +104,58 @@ BENCHMARK(BM_BpcCompressLane);
 // leaves the thread count implicit.
 
 // The float tap GeMM against weights packed once (as the transformer
-// holds them), at the sim-dims shapes of a decode step (16 x 384 x 128),
-// a prefill down-projection (64 x 128 x 384) and an evaluation pass
-// (256 x 384 x 128), as tokens x outputs x reduction.
+// holds them), at the sim-dims shapes of decode steps (1, 5 and 16 x
+// 384 x 128), a prefill down-projection (64 x 128 x 384) and an
+// evaluation pass (256 x 384 x 128), as tokens x outputs x reduction.
+// BM_MatmulWt packs float weights; BM_MatmulWtW4 packs the same
+// weights quantized to W4 (group 128), which the kernel dequantizes one
+// panel at a time.
 void
-BM_MatmulWt(benchmark::State &state)
+run_matmul_wt(benchmark::State &state, const WeightPanels &w)
 {
     const auto m = static_cast<std::size_t>(state.range(0));
-    const auto n = static_cast<std::size_t>(state.range(1));
-    const auto k = static_cast<std::size_t>(state.range(2));
-    const Matrix a = random_matrix(m, k, 7);
-    const WeightPanels w(random_matrix(n, k, 8));
+    const Matrix a = random_matrix(m, w.cols(), 7);
     for (auto _ : state) {
         Matrix c = matmul_wt(a, w, /*threads=*/1);
         benchmark::DoNotOptimize(c.data());
     }
     state.counters["GFLOP/s"] = benchmark::Counter(
-        2.0 * static_cast<double>(m * n * k) *
+        2.0 * static_cast<double>(m * w.rows() * w.cols()) *
             static_cast<double>(state.iterations()) * 1e-9,
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_MatmulWt)
-    ->Args({16, 384, 128})
-    ->Args({64, 128, 384})
-    ->Args({256, 384, 128});
+
+Matrix
+matmul_wt_weight(const benchmark::State &state)
+{
+    return random_matrix(static_cast<std::size_t>(state.range(1)),
+                         static_cast<std::size_t>(state.range(2)), 8);
+}
+
+void
+BM_MatmulWt(benchmark::State &state)
+{
+    run_matmul_wt(state, WeightPanels(matmul_wt_weight(state)));
+}
+
+void
+BM_MatmulWtW4(benchmark::State &state)
+{
+    run_matmul_wt(state, WeightPanels(QuantizedWeight::quantize(
+                             matmul_wt_weight(state), {128, 4, true})));
+}
+
+void
+matmul_wt_shapes(benchmark::internal::Benchmark *b)
+{
+    b->Args({1, 384, 128})
+        ->Args({5, 384, 128})
+        ->Args({16, 384, 128})
+        ->Args({64, 128, 384})
+        ->Args({256, 384, 128});
+}
+BENCHMARK(BM_MatmulWt)->Apply(matmul_wt_shapes);
+BENCHMARK(BM_MatmulWtW4)->Apply(matmul_wt_shapes);
 
 void
 BM_GemmFp16Dequant(benchmark::State &state)

@@ -65,6 +65,7 @@ using i32x8 = std::int32_t __attribute__((vector_size(32)));
 using i32x16 = std::int32_t __attribute__((vector_size(64)));
 using f64x4 = double __attribute__((vector_size(32)));
 using f64x8 = double __attribute__((vector_size(64)));
+using u64x2 = std::uint64_t __attribute__((vector_size(16)));
 using u64x4 = std::uint64_t __attribute__((vector_size(32)));
 using u64x8 = std::uint64_t __attribute__((vector_size(64)));
 

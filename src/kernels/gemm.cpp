@@ -61,10 +61,27 @@ WeightPanels::WeightPanels(Matrix w) : rows_(w.rows()), cols_(w.cols())
     }
 }
 
-WeightPanels
-pack_dequantized(const QuantizedWeight &w)
+WeightPanels::WeightPanels(const QuantizedWeight &w)
+    : rows_(w.rows()), cols_(w.cols()),
+      group_size_(static_cast<std::size_t>(w.group_size()))
 {
-    return WeightPanels(w.dequantize());
+    ANDA_CHECK(w.bits() <= 4, "W4 panels hold weights of at most 4 bits");
+    nibbles_.assign(panels() * cols_, 0);
+    scales_.assign(panels() * groups() * kWidth, 0.0f);
+    for (std::size_t n = 0; n < rows_; ++n) {
+        const std::size_t j = n % kWidth;
+        std::uint64_t *words = nibbles_.data() + n / kWidth * cols_;
+        const auto q = w.row(n);
+        // Little-endian: the low half of a word is 32-bit lane 0.
+        const std::size_t shift = 32 * (j % 2) + 4 * (j / 2);
+        for (std::size_t c = 0; c < cols_; ++c) {
+            words[c] |= (static_cast<std::uint64_t>(q[c]) & 0xfu) << shift;
+        }
+        float *scale = scales_.data() + n / kWidth * groups() * kWidth + j;
+        for (std::size_t g = 0; g < groups(); ++g) {
+            scale[g * kWidth] = w.group_scale(n, g);
+        }
+    }
 }
 
 namespace {
@@ -128,17 +145,60 @@ panel_block(const float *a, std::size_t k, const float *panel,
     std::memcpy(out, sum, sizeof out);
 }
 
+// W4 panel p of w dequantized into out ([K][16] floats, the float
+// form's panel layout). Each k-row's word is broadcast to every 64-bit
+// lane, so 32-bit lane l holds the word's half l % 2, which holds
+// channel j's nibble at bits 4 * (j / 2) (j = l mod the vector width is
+// even or odd with l). Shifting the nibble to the top and back
+// arithmetically sign-extends it; its float times the channel's group
+// scale is exact.
+template <class V, class VI, class VQ>
+[[gnu::always_inline]] inline void
+dequant_panel(const WeightPanels &w, std::size_t p, float *out)
+{
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+    constexpr int kVecs = static_cast<int>(kPanel / kLanes);
+    VI to_top[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            const std::size_t j = v * kLanes + l;
+            to_top[v][l] = static_cast<std::int32_t>(28 - 4 * (j / 2));
+        }
+    }
+    const std::size_t k = w.cols();
+    const std::size_t gs = w.group_size();
+    const std::uint64_t *words = w.nibbles(p);
+    const float *scales = w.scales(p);
+    for (std::size_t g = 0; g * gs < k; ++g) {
+        V scale[kVecs];
+        std::memcpy(scale, scales + g * kPanel, sizeof scale);
+        for (std::size_t i = g * gs; i < std::min(k, (g + 1) * gs); ++i) {
+            const VI word = (VI)(VQ{} + words[i]);
+            for (int v = 0; v < kVecs; ++v) {
+                const VI q = (word << to_top[v]) >> 28;
+                const V x = __builtin_convertvector(q, V) * scale[v];
+                std::memcpy(out + i * kPanel + v * kLanes, &x, sizeof x);
+            }
+        }
+    }
+}
+
 // The serial panel GeMM: panels outer (one panel stays in L1 across
-// the token rows), blocks of R token rows inner, single rows last.
-template <class V, int R, int L>
+// the token rows), blocks of R token rows inner, single rows last. A
+// W4 panel is dequantized once into a per-call scratch first.
+template <class V, class VI, class VQ, int R, int L>
 [[gnu::always_inline]] inline void
 panel_gemm(const float *a, std::size_t rows, const WeightPanels &w,
            float *c)
 {
     const std::size_t k = w.cols();
     const std::size_t n = w.rows();
+    std::vector<float> scratch(w.w4() ? k * kPanel : 0);
     for (std::size_t p = 0; p < w.panels(); ++p) {
-        const float *panel = w.panel(p);
+        if (w.w4()) {
+            dequant_panel<V, VI, VQ>(w, p, scratch.data());
+        }
+        const float *panel = w.w4() ? scratch.data() : w.panel(p);
         const std::size_t n0 = p * kPanel;
         const std::size_t width = std::min(kPanel, n - n0);
         std::size_t t = 0;
@@ -163,14 +223,14 @@ ANDA_TARGET_AVX512F void
 panel_gemm_avx512f(const float *a, std::size_t rows, const WeightPanels &w,
                    float *c)
 {
-    panel_gemm<simd::f32x16, 4, 4>(a, rows, w, c);
+    panel_gemm<simd::f32x16, simd::i32x16, simd::u64x8, 4, 4>(a, rows, w, c);
 }
 
 ANDA_TARGET_AVX2 void
 panel_gemm_avx2(const float *a, std::size_t rows, const WeightPanels &w,
                 float *c)
 {
-    panel_gemm<simd::f32x8, 4, 1>(a, rows, w, c);
+    panel_gemm<simd::f32x8, simd::i32x8, simd::u64x4, 4, 1>(a, rows, w, c);
 }
 #endif
 
@@ -178,7 +238,7 @@ void
 panel_gemm_baseline(const float *a, std::size_t rows,
                     const WeightPanels &w, float *c)
 {
-    panel_gemm<simd::f32x4, 2, 1>(a, rows, w, c);
+    panel_gemm<simd::f32x4, simd::i32x4, simd::u64x2, 2, 1>(a, rows, w, c);
 }
 
 constexpr simd::Variant<detail::PanelGemmFn> kPanelGemmVariants[] = {
@@ -281,10 +341,10 @@ gemm_fp16_dequant(const Matrix &a, const QuantizedWeight &w,
     check_gemm_shapes(a.cols(), w.cols(), "gemm_fp16_dequant");
     Matrix a16 = a;
     apply_act_format(a16, ActFormat::fp16(), threads);
-    // Dequantized INT4 weights are exact in FP16 (scale is FP16 and the
-    // product q*scale has at most 14 significant bits), so a float
-    // matmul of the dequantized matrix models the tensor-core path.
-    return matmul_wt(a16, pack_dequantized(w), threads);
+    // Dequantized INT4 weights are exact in FP32 (scale is FP16 and the
+    // product q*scale has at most 15 significant bits), so a float
+    // matmul of the dequantized weights models the tensor-core path.
+    return matmul_wt(a16, WeightPanels(w), threads);
 }
 
 Matrix
@@ -296,7 +356,7 @@ gemm_bfp_fakequant(const Matrix &a, const QuantizedWeight &w,
     apply_act_format(ab, ActFormat::bfp(params.group_size,
                                         params.mantissa_bits),
                      threads);
-    return matmul_wt(ab, pack_dequantized(w), threads);
+    return matmul_wt(ab, WeightPanels(w), threads);
 }
 
 std::int64_t

@@ -15,13 +15,15 @@
 /// builds fail loudly instead of reading out of bounds.
 ///
 /// The float path (matmul_wt) multiplies against WeightPanels: weights
-/// packed once into panels of 16 output channels, each [K][16]. Its
-/// kernel is one template over GCC/Clang vector types, instantiated for
-/// AVX-512F, AVX2 and the baseline ISA and picked once per process by
-/// CPUID (common/simd.h). Every instantiation is bit-identical to
-/// dot_f32, which stays the oracle (tests/test_gemm.cpp memcmps each
-/// one the host supports); the build's -ffp-contract=off keeps FMA
-/// contraction from breaking that in the wider targets.
+/// packed once into panels of 16 output channels, each [K][16], either
+/// as floats or, for W4 weights, as INT4 nibbles with per-group scales
+/// that the kernel dequantizes one panel at a time. Its kernel is one
+/// template over GCC/Clang vector types, instantiated for AVX-512F,
+/// AVX2 and the baseline ISA and picked once per process by CPUID
+/// (common/simd.h). Every instantiation is bit-identical to dot_f32,
+/// which stays the oracle (tests/test_gemm.cpp memcmps each one the
+/// host supports); the build's -ffp-contract=off keeps FMA contraction
+/// from breaking that in the wider targets.
 ///
 /// Threading: every kernel takes a thread count where 0 means all
 /// cores and 1 means serial. Callers that already parallelize at a
@@ -29,6 +31,7 @@
 /// oversubscribe — see src/common/parallel.h for the ownership
 /// convention.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -72,37 +75,81 @@ float dot_f32(const float *a, const float *b, std::size_t n);
 /// kWidth weights of one reduction index are contiguous, and N is
 /// zero-padded to a multiple of kWidth. The layout lets one vector
 /// multiply-add serve kWidth output channels at the same k.
+///
+/// Two forms share the layout. The float form holds the [K][kWidth]
+/// floats of every panel. The W4 form, built from a QuantizedWeight of
+/// at most 4 bits, keeps the weights packed: per panel, one 64-bit word
+/// per k-row holding the two's-complement INT4 value of channel 16p + j
+/// at bit 32 * (j % 2) + 4 * (j / 2) (even channels in the low half, so
+/// a word broadcast to 64-bit lanes puts every channel's nibble in its
+/// own 32-bit lane), and one kWidth-float scale vector per K-group (the
+/// scales of the panel's 16 channels for that group). Padded channels
+/// hold 0 with scale 0. matmul_wt dequantizes a W4 panel into a
+/// [K][kWidth] float scratch once, with vector code in every ISA
+/// instantiation, and runs the float kernel on the scratch unchanged.
+///
+/// Exactness: each scratch float is float(q) * scale, the same IEEE
+/// product QuantizedWeight::dequantize() computes, and the product is
+/// exact (the scale is FP16 and |q| <= 8, so it needs at most 15
+/// significant bits and stays far above FP32's subnormal range). A W4
+/// panel therefore gives outputs bit-identical to the float form of
+/// w.dequantize(), and so to dot_f32 over the dequantized rows, in
+/// 1/7.5 of the float form's bytes at group size 128.
 class WeightPanels {
   public:
     static constexpr std::size_t kWidth = 16;
 
     WeightPanels() = default;
 
-    /// Packs a row-major [N x K] weight matrix. Packing reuses the
-    /// matrix's storage, so a caller that moves its matrix in allocates
-    /// nothing but one panel of scratch.
+    /// Packs a row-major [N x K] weight matrix into the float form.
+    /// Packing reuses the matrix's storage, so a caller that moves its
+    /// matrix in allocates nothing but one panel of scratch.
     explicit WeightPanels(Matrix w);
+
+    /// Packs a quantized weight into the W4 form. Throws
+    /// std::invalid_argument if w.bits() > 4.
+    explicit WeightPanels(const QuantizedWeight &w);
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
     std::size_t panels() const { return (rows_ + kWidth - 1) / kWidth; }
 
-    /// Panel p: cols() blocks of kWidth floats.
+    /// True for the W4 form.
+    bool w4() const { return group_size_ != 0; }
+
+    /// Float form, panel p: cols() blocks of kWidth floats.
     const float *panel(std::size_t p) const
     {
         return data_.data() + p * cols_ * kWidth;
     }
 
-  private:
+    /// W4 form: K-columns per scale group, and the groups of a panel.
+    std::size_t group_size() const { return group_size_; }
+    std::size_t groups() const
+    {
+        return (cols_ + group_size_ - 1) / group_size_;
+    }
 
+    /// W4 form, panel p: cols() words of kWidth nibbles.
+    const std::uint64_t *nibbles(std::size_t p) const
+    {
+        return nibbles_.data() + p * cols_;
+    }
+
+    /// W4 form, panel p: groups() vectors of kWidth scales.
+    const float *scales(std::size_t p) const
+    {
+        return scales_.data() + p * groups() * kWidth;
+    }
+
+  private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
+    std::size_t group_size_ = 0;  // 0 in the float form.
     std::vector<float> data_;
+    std::vector<std::uint64_t> nibbles_;
+    std::vector<float> scales_;
 };
-
-/// QuantizedWeight::dequantize() packed into panels; the dequantized
-/// matrix's storage becomes the panels' (no second copy).
-WeightPanels pack_dequantized(const QuantizedWeight &w);
 
 /// C = A * W^T for `rows` contiguous token rows of a ([rows x K]) into
 /// c ([rows x N], row-major), serially, on the widest instantiation the
@@ -110,6 +157,8 @@ WeightPanels pack_dequantized(const QuantizedWeight &w);
 /// K): the kernel keeps dot_f32's 16 lane accumulators per output in
 /// vector lanes and adds them in its order. A pass holds 4 token rows x
 /// 4 of the 16 lanes of one panel in registers (fewer on narrower ISAs).
+/// A W4 panel is first dequantized into a per-call [K][16] scratch
+/// (32 KB at K = 512), which stays in L1 across the token rows.
 void matmul_wt(const float *a, std::size_t rows, const WeightPanels &w,
                float *c);
 
@@ -134,14 +183,14 @@ void apply_act_format(Matrix &a, const ActFormat &fmt,
                       std::size_t threads = 0);
 
 /// FP-FP GPU scheme (Fig. 8a): INT4 weights dequantized to FP16, FP16
-/// activations, FP32 accumulation.
+/// activations, FP32 accumulation. Runs matmul_wt on W4 panels of w.
 Matrix gemm_fp16_dequant(const Matrix &a, const QuantizedWeight &w,
                          std::size_t threads = 0);
 
 /// Fake-quantized BFP GeMM used by accuracy experiments: activations are
 /// converted through the BFP format, then multiplied against dequantized
-/// weights in float32. Numerically equivalent to the grouped integer
-/// datapath with exact scaling.
+/// weights in float32 (matmul_wt on W4 panels of w). Numerically
+/// equivalent to the grouped integer datapath with exact scaling.
 Matrix gemm_bfp_fakequant(const Matrix &a, const QuantizedWeight &w,
                           const BfpParams &params,
                           std::size_t threads = 0);

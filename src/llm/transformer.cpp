@@ -78,14 +78,14 @@ w4_params()
     return p;
 }
 
-/// Stores a drawn weight as its full-precision and its dequantized
+/// Stores a drawn weight as its full-precision panels and its packed
 /// W4A16g128 panels. Called right after the weight's last RNG draw; the
 /// full panels take over the draw's storage, so storing a weight
-/// allocates only its dequantized panels and the quantizer's scratch.
+/// allocates only its INT4 panels and the quantizer's scratch.
 void
-store_weight(Matrix w, WeightPanels &full, WeightPanels &dq)
+store_weight(Matrix w, WeightPanels &full, WeightPanels &w4)
 {
-    dq = pack_dequantized(QuantizedWeight::quantize(w, w4_params()));
+    w4 = WeightPanels(QuantizedWeight::quantize(w, w4_params()));
     full = WeightPanels(std::move(w));
 }
 
@@ -194,26 +194,26 @@ Transformer::Transformer(const ModelConfig &cfg) : cfg_(cfg)
         const std::size_t df = static_cast<std::size_t>(d.d_ffn);
         store_weight(
             draw(dm, dm, inv_sqrt_d * prof.attn_sharpness / rms_gain),
-            lw.wq, lw.wq_dq);
-        store_weight(draw(dm, dm, inv_sqrt_d / rms_gain), lw.wk, lw.wk_dq);
+            lw.wq, lw.wq_w4);
+        store_weight(draw(dm, dm, inv_sqrt_d / rms_gain), lw.wk, lw.wk_w4);
         Matrix wv = draw(dm, dm, inv_sqrt_d / rms_gain);
         store_weight(draw(dm, dm, inv_sqrt_d * resid_scale / rms_ctx),
-                     lw.wo, lw.wo_dq);
+                     lw.wo, lw.wo_w4);
         // Outlier output channels of Wv shape the Ao tap's statistics.
         implant_row_outliers(wv, rng, prof.outlier_channels,
                              prof.o_outlier_gain);
-        store_weight(std::move(wv), lw.wv, lw.wv_dq);
+        store_weight(std::move(wv), lw.wv, lw.wv_w4);
 
         Matrix w_up = draw(df, dm, inv_sqrt_d / rms_gain);
         store_weight(draw(dm, df, inv_sqrt_f * resid_scale / rms_ffn),
-                     lw.w_down, lw.w_down_dq);
+                     lw.w_down, lw.w_down_w4);
         // Outlier FFN channels shape the Ad tap's statistics.
         implant_row_outliers(w_up, rng, prof.outlier_channels,
                              prof.d_outlier_gain);
-        store_weight(std::move(w_up), lw.w_up, lw.w_up_dq);
+        store_weight(std::move(w_up), lw.w_up, lw.w_up_w4);
         if (cfg_.is_llama()) {
             store_weight(draw(df, dm, inv_sqrt_d / rms_gain), lw.w_gate,
-                         lw.w_gate_dq);
+                         lw.w_gate_w4);
         }
     }
 }
@@ -281,9 +281,9 @@ Transformer::run_block(std::size_t layer, Matrix &x,
     }
     apply_act_format(a, opts.prec.qkv, opts.threads);  // Aqkv tap.
 
-    Matrix q = matmul_wt(a, pick(lw.wq, lw.wq_dq, opts), opts.threads);
-    Matrix k = matmul_wt(a, pick(lw.wk, lw.wk_dq, opts), opts.threads);
-    Matrix v = matmul_wt(a, pick(lw.wv, lw.wv_dq, opts), opts.threads);
+    Matrix q = matmul_wt(a, pick(lw.wq, lw.wq_w4, opts), opts.threads);
+    Matrix k = matmul_wt(a, pick(lw.wk, lw.wk_w4, opts), opts.threads);
+    Matrix v = matmul_wt(a, pick(lw.wv, lw.wv_w4, opts), opts.threads);
     if (llama) {
         for (std::size_t t = 0; t < t_len; ++t) {
             rope_rotate(q.row(t), rope.row(t));
@@ -379,7 +379,7 @@ Transformer::run_block(std::size_t layer, Matrix &x,
     }
     apply_act_format(ctx, opts.prec.o, opts.threads);  // Ao tap.
     const Matrix att_out =
-        matmul_wt(ctx, pick(lw.wo, lw.wo_dq, opts), opts.threads);
+        matmul_wt(ctx, pick(lw.wo, lw.wo_w4, opts), opts.threads);
     for (std::size_t t = 0; t < t_len; ++t) {
         auto xrow = x.row(t);
         const auto orow = att_out.row(t);
@@ -402,13 +402,13 @@ Transformer::run_block(std::size_t layer, Matrix &x,
     Matrix hmat;
     if (llama) {
         Matrix g =
-            matmul_wt(b, pick(lw.w_gate, lw.w_gate_dq, opts),
+            matmul_wt(b, pick(lw.w_gate, lw.w_gate_w4, opts),
                       opts.threads);
-        hmat = matmul_wt(b, pick(lw.w_up, lw.w_up_dq, opts),
+        hmat = matmul_wt(b, pick(lw.w_up, lw.w_up_w4, opts),
                          opts.threads);
         swiglu_inplace(g.flat(), hmat.flat());
     } else {
-        hmat = matmul_wt(b, pick(lw.w_up, lw.w_up_dq, opts),
+        hmat = matmul_wt(b, pick(lw.w_up, lw.w_up_w4, opts),
                          opts.threads);
         for (float &vv : hmat.flat()) {
             vv = relu(vv);
@@ -416,7 +416,7 @@ Transformer::run_block(std::size_t layer, Matrix &x,
     }
     apply_act_format(hmat, opts.prec.d, opts.threads);  // Ad tap.
     const Matrix ffn_out =
-        matmul_wt(hmat, pick(lw.w_down, lw.w_down_dq, opts),
+        matmul_wt(hmat, pick(lw.w_down, lw.w_down_w4, opts),
                   opts.threads);
     for (std::size_t t = 0; t < t_len; ++t) {
         auto xrow = x.row(t);

@@ -155,10 +155,14 @@ class Transformer {
         WeightPanels w_gate;  // LLaMA only.
         WeightPanels w_up;
         WeightPanels w_down;
-        // Dequantized W4A16g128 weights (same shapes and layout).
-        WeightPanels wq_dq, wk_dq, wv_dq, wo_dq;
-        WeightPanels w_gate_dq;
-        WeightPanels w_up_dq, w_down_dq;
+        // The same weights quantized to W4A16g128, packed as INT4
+        // nibbles with per-group FP16 scales (WeightPanels' W4 form,
+        // 1/8 of the float panels' bytes); matmul_wt dequantizes one
+        // panel at a time, bit-identical to multiplying the
+        // dequantized float weights.
+        WeightPanels wq_w4, wk_w4, wv_w4, wo_w4;
+        WeightPanels w_gate_w4;
+        WeightPanels w_up_w4, w_down_w4;
     };
 
     /// Runs one transformer block over x [sum(T_i) x d] in place,
@@ -178,10 +182,10 @@ class Transformer {
                    const Matrix &rope) const;
 
     const WeightPanels &pick(const WeightPanels &full,
-                             const WeightPanels &dq,
+                             const WeightPanels &w4,
                              const RunOptions &opts) const
     {
-        return opts.quantized_weights ? dq : full;
+        return opts.quantized_weights ? w4 : full;
     }
 
     void embed_into(std::span<const int> tokens, std::size_t pos_offset,

@@ -29,14 +29,20 @@ quantize_group(std::span<const float> w, float scale, int qmax,
     return err;
 }
 
+void
+check_params(const WeightQuantParams &params)
+{
+    ANDA_CHECK_GE(params.group_size, 1, "group_size must be >= 1");
+    ANDA_CHECK(params.bits >= 2 && params.bits <= 8,
+               "weight bits must be in [2, 8]");
+}
+
 }  // namespace
 
 QuantizedWeight
 QuantizedWeight::quantize(const Matrix &w, const WeightQuantParams &params)
 {
-    ANDA_CHECK_GE(params.group_size, 1, "group_size must be >= 1");
-    ANDA_CHECK(params.bits >= 2 && params.bits <= 8,
-               "weight bits must be in [2, 8]");
+    check_params(params);
     QuantizedWeight out;
     out.params_ = params;
     out.rows_ = w.rows();
@@ -98,6 +104,33 @@ QuantizedWeight::quantize(const Matrix &w, const WeightQuantParams &params)
     return out;
 }
 
+QuantizedWeight
+QuantizedWeight::from_values(const WeightQuantParams &params,
+                             std::size_t rows, std::size_t cols,
+                             std::vector<std::int8_t> q,
+                             std::vector<float> scales)
+{
+    check_params(params);
+    QuantizedWeight out;
+    out.params_ = params;
+    out.rows_ = rows;
+    out.cols_ = cols;
+    const std::size_t gs = static_cast<std::size_t>(params.group_size);
+    out.groups_per_row_ = (cols + gs - 1) / gs;
+    ANDA_CHECK_EQ(q.size(), rows * cols,
+                  "from_values: one value per (row, column)");
+    ANDA_CHECK_EQ(scales.size(), rows * out.groups_per_row_,
+                  "from_values: one scale per (row, group)");
+    const int lo = -(1 << (params.bits - 1));
+    for (const std::int8_t v : q) {
+        ANDA_CHECK(v >= lo && v <= -lo - 1,
+                   "from_values: value outside the signed bits range");
+    }
+    out.q_ = std::move(q);
+    out.scales_ = std::move(scales);
+    return out;
+}
+
 Matrix
 QuantizedWeight::dequantize() const
 {
@@ -115,41 +148,6 @@ QuantizedWeight::storage_bits() const
 {
     return q_.size() * static_cast<std::size_t>(params_.bits) +
            scales_.size() * 16;
-}
-
-std::vector<std::uint8_t>
-pack_int4(std::span<const std::int8_t> values)
-{
-    std::vector<std::uint8_t> bytes((values.size() + 1) / 2, 0);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        ANDA_DCHECK(values[i] >= -8 && values[i] <= 7,
-                    "int4 pack value out of range");
-        const std::uint8_t nibble =
-            static_cast<std::uint8_t>(values[i]) & 0x0f;
-        if (i % 2 == 0) {
-            bytes[i / 2] |= nibble;
-        } else {
-            bytes[i / 2] |= static_cast<std::uint8_t>(nibble << 4);
-        }
-    }
-    return bytes;
-}
-
-std::vector<std::int8_t>
-unpack_int4(std::span<const std::uint8_t> bytes, std::size_t count)
-{
-    std::vector<std::int8_t> out(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        std::uint8_t nibble = bytes[i / 2];
-        if (i % 2 == 1) {
-            nibble >>= 4;
-        }
-        nibble &= 0x0f;
-        // Sign-extend the 4-bit value.
-        out[i] = static_cast<std::int8_t>(
-            static_cast<std::int8_t>(nibble << 4) >> 4);
-    }
-    return out;
 }
 
 }  // namespace anda

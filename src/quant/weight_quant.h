@@ -39,6 +39,17 @@ class QuantizedWeight {
     static QuantizedWeight quantize(const Matrix &w,
                                     const WeightQuantParams &params);
 
+    /// Assembles a quantized weight from row-major integer values
+    /// [rows x cols] and per-(row, group) scales, for values the
+    /// quantizer never emits (the two's-complement minimum, a zero
+    /// scale over nonzero values). Values may span the full signed
+    /// `bits`-bit range. Throws std::invalid_argument on a size or
+    /// range mismatch.
+    static QuantizedWeight from_values(const WeightQuantParams &params,
+                                       std::size_t rows, std::size_t cols,
+                                       std::vector<std::int8_t> q,
+                                       std::vector<float> scales);
+
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
     int group_size() const { return params_.group_size; }
@@ -85,13 +96,5 @@ class QuantizedWeight {
     std::vector<std::int8_t> q_;
     std::vector<float> scales_;
 };
-
-/// Packs signed 4-bit values two-per-byte (low nibble first); utility
-/// for storage accounting and round-trip tests.
-std::vector<std::uint8_t> pack_int4(std::span<const std::int8_t> values);
-
-/// Unpacks two-per-byte signed 4-bit values.
-std::vector<std::int8_t> unpack_int4(std::span<const std::uint8_t> bytes,
-                                     std::size_t count);
 
 }  // namespace anda

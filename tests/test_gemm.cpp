@@ -130,6 +130,96 @@ TEST(Gemm, PanelMatmulMatchesDotF32BitForBit)
     EXPECT_TRUE(same_bits(matmul_wt(a, WeightPanels(w), 4), want));
 }
 
+// A W4 weight (group 128) whose values run through every INT4 value
+// -8..7 in each row of at least 16 columns, and whose (row, group)
+// scales cycle through 0, an FP16 subnormal and two normal FP16 values.
+QuantizedWeight
+w4_weight(std::size_t n, std::size_t k, std::uint64_t seed)
+{
+    SplitMix64 rng(seed);
+    std::vector<std::int8_t> q(n * k);
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        q[i] = static_cast<std::int8_t>(
+            static_cast<int>((i * 7 + seed) % 16) - 8);
+    }
+    const std::size_t groups = (k + 127) / 128;
+    std::vector<float> scales(n * groups);
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t g = 0; g < groups; ++g) {
+            float &s = scales[r * groups + g];
+            switch ((r + g) % 4) {
+            case 0:
+                s = 0.0f;
+                break;
+            case 1:  // m * 2^-24, m < 2^10: an FP16 subnormal.
+                s = std::ldexp(
+                    static_cast<float>(1 + rng.uniform_index(1023)), -24);
+                break;
+            default:  // m * 2^-16, 2^10 <= m < 2^11: a normal FP16.
+                s = std::ldexp(
+                    static_cast<float>(1024 + rng.uniform_index(1024)),
+                    -16);
+                break;
+            }
+        }
+    }
+    return QuantizedWeight::from_values({128, 4, true}, n, k, std::move(q),
+                                        std::move(scales));
+}
+
+TEST(Gemm, PackedW4PanelsMatchDequantizedBitForBit)
+{
+    std::string ran;
+    for (const auto &variant : detail::panel_gemm_variants()) {
+        if (!simd::isa_supported(variant.isa)) {
+            continue;
+        }
+        ran += std::string(ran.empty() ? "" : ", ") +
+               simd::isa_name(variant.isa);
+        for (std::size_t k : {1u, 15u, 17u, 128u, 130u, 384u, 512u}) {
+            for (std::size_t n : {1u, 17u, 33u}) {
+                const QuantizedWeight w = w4_weight(n, k, 3000 + 7 * k + n);
+                const Matrix dq = w.dequantize();
+                const WeightPanels packed(w);
+                const WeightPanels floats(dq);
+                ASSERT_TRUE(packed.w4());
+                for (std::size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
+                                      33u}) {
+                    const Matrix a = special_matrix(m, k, 4000 + k + m);
+                    const Matrix want = dot_f32_gemm(a, dq);
+                    Matrix got(m, n);
+                    Matrix got_float(m, n);
+                    variant.run(a.data(), m, packed, got.data());
+                    variant.run(a.data(), m, floats, got_float.data());
+                    EXPECT_TRUE(same_bits(got, want))
+                        << simd::isa_name(variant.isa) << " m=" << m
+                        << " n=" << n << " k=" << k;
+                    EXPECT_TRUE(same_bits(got, got_float))
+                        << simd::isa_name(variant.isa) << " m=" << m
+                        << " n=" << n << " k=" << k;
+                }
+            }
+        }
+    }
+    std::cout << "[ INFO     ] W4 panel GeMM variants run: " << ran << "\n";
+    ASSERT_FALSE(ran.empty());
+
+    // The dispatched, threaded entry point gives the same bits.
+    const QuantizedWeight w = w4_weight(33, 130, 5);
+    const Matrix a = special_matrix(33, 130, 6);
+    EXPECT_TRUE(same_bits(matmul_wt(a, WeightPanels(w), 4),
+                          dot_f32_gemm(a, w.dequantize())));
+
+    // Wider weights do not fit a nibble; values outside the signed
+    // range are rejected when assembled.
+    EXPECT_THROW(WeightPanels(QuantizedWeight::quantize(
+                     random_matrix(2, 64, 7), {64, 8, true})),
+                 std::invalid_argument);
+    EXPECT_THROW(QuantizedWeight::from_values({64, 4, true}, 1, 1, {8},
+                                              {1.0f}),
+                 std::invalid_argument);
+}
+
 TEST(Gemm, DotHandlesShortAndUnalignedLengths)
 {
     SplitMix64 rng(3);

@@ -112,22 +112,6 @@ TEST(WeightQuant, RejectsBadParams)
                  std::invalid_argument);
 }
 
-TEST(Int4Packing, RoundTripsAllValues)
-{
-    std::vector<std::int8_t> vals;
-    for (int v = -8; v <= 7; ++v) {
-        vals.push_back(static_cast<std::int8_t>(v));
-    }
-    vals.push_back(3);  // Odd count exercises the trailing nibble.
-    const auto bytes = pack_int4(vals);
-    EXPECT_EQ(bytes.size(), (vals.size() + 1) / 2);
-    const auto back = unpack_int4(bytes, vals.size());
-    ASSERT_EQ(back.size(), vals.size());
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-        EXPECT_EQ(back[i], vals[i]) << "i=" << i;
-    }
-}
-
 class WeightBitsSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WeightBitsSweep, HigherBitsLowerError)
