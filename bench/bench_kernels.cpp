@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -253,6 +255,38 @@ BENCHMARK_CAPTURE(BM_KvUnpackRow, anda_m7, KvFormat::anda(7));
 BENCHMARK_CAPTURE(BM_KvUnpackRow, anda_m12, KvFormat::anda(12));
 BENCHMARK_CAPTURE(BM_KvUnpackRow, bfp_g64_m7, KvFormat::bfp(64, 7));
 
+// The same rows through kv_unpack_rows a 16-row block at a time, the
+// decode attention's tile fill.
+void
+BM_KvUnpackRows(benchmark::State &state, KvFormat fmt)
+{
+    constexpr std::size_t kRows = 256;
+    constexpr std::size_t kBlock = 16;
+    constexpr std::size_t kWidth = 128;
+    const auto vals = random_values(kRows * kWidth, 9);
+    const std::size_t bytes = kv_row_bytes(fmt, kWidth);
+    std::vector<std::byte> packed(kRows * bytes);
+    std::vector<const std::byte *> rows(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+        kv_pack_row(fmt, std::span(vals).subspan(r * kWidth, kWidth),
+                    std::span(packed).subspan(r * bytes, bytes));
+        rows[r] = packed.data() + r * bytes;
+    }
+    std::vector<float> out(kBlock * kWidth);
+    for (auto _ : state) {
+        for (std::size_t r = 0; r < kRows; r += kBlock) {
+            kv_unpack_rows(fmt, std::span(rows).subspan(r, kBlock), kWidth,
+                           out);
+            benchmark::DoNotOptimize(out.data());
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK_CAPTURE(BM_KvUnpackRows, anda_m4, KvFormat::anda(4));
+BENCHMARK_CAPTURE(BM_KvUnpackRows, anda_m7, KvFormat::anda(7));
+BENCHMARK_CAPTURE(BM_KvUnpackRows, anda_m12, KvFormat::anda(12));
+BENCHMARK_CAPTURE(BM_KvUnpackRows, bfp_g64_m7, KvFormat::bfp(64, 7));
+
 // Quantizing and packing one 128-wide K/V row, the cost a quantized
 // cache pays once per stored row (every new token, every layer).
 void
@@ -316,6 +350,51 @@ BENCHMARK(BM_CausalAttentionHead)
     ->Args({512, 1})
     ->Args({1024, 1})
     ->Args({1024, 512});
+
+// One decode row of the sim models (4 heads of 32) attending over
+// kv_len cached rows straight from their packed form:
+// BM_AttendDecode/<kv_len>/<format>.
+void
+BM_AttendDecode(benchmark::State &state, KvFormat fmt, std::size_t kv_len)
+{
+    constexpr std::size_t kWidth = 128;
+    const auto q = random_values(kWidth, 10);
+    const auto kv = random_values(2 * kv_len * kWidth, 11);
+    const std::size_t bytes = kv_row_bytes(fmt, kWidth);
+    // Float words keep FP32 rows aligned as floats.
+    std::vector<float> store((2 * kv_len * bytes + 3) / 4);
+    auto *base = reinterpret_cast<std::byte *>(store.data());
+    std::vector<const std::byte *> rows(2 * kv_len);
+    for (std::size_t r = 0; r < 2 * kv_len; ++r) {
+        kv_pack_row(fmt, std::span(kv).subspan(r * kWidth, kWidth),
+                    {base + r * bytes, bytes});
+        rows[r] = base + r * bytes;
+    }
+    const std::span<const std::byte *const> all(rows);
+    std::vector<float> out(kWidth);
+    for (auto _ : state) {
+        attend_decode(q, fmt, all.first(kv_len), all.subspan(kv_len),
+                      /*head_dim=*/32, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kv_len);
+}
+
+[[maybe_unused]] const bool kAttendDecodeRegistered = [] {
+    for (const std::size_t kv_len : {64u, 512u, 1024u}) {
+        for (const auto &[name, fmt] :
+             {std::pair<const char *, KvFormat>{"fp32", KvFormat::fp32()},
+              {"anda_m7", KvFormat::anda(7)},
+              {"anda_m12", KvFormat::anda(12)}}) {
+            benchmark::RegisterBenchmark(
+                ("BM_AttendDecode/" + std::to_string(kv_len) + "/" + name)
+                    .c_str(),
+                BM_AttendDecode, fmt, kv_len);
+        }
+    }
+    return true;
+}();
 
 // One attention row's softmax over n scores (a decode query over an
 // n-key context) with the widest vector variant the attention kernel

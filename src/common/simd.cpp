@@ -12,6 +12,8 @@ isa_name(Isa isa)
         return "avx2";
     case Isa::kAvx512f:
         return "avx512f";
+    case Isa::kAvx512Gfni:
+        return "avx512gfni";
     }
     return "unknown";
 }
@@ -31,6 +33,11 @@ isa_supported(Isa isa)
                __builtin_cpu_supports("fma");
     case Isa::kAvx512f:
         return __builtin_cpu_supports("avx512f");
+    case Isa::kAvx512Gfni:
+        return __builtin_cpu_supports("avx512f") &&
+               __builtin_cpu_supports("avx512bw") &&
+               __builtin_cpu_supports("avx512vbmi") &&
+               __builtin_cpu_supports("gfni");
     }
     return false;
 #else

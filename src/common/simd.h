@@ -9,7 +9,11 @@
 /// `target(...)` attribute, and the instantiations are listed widest
 /// first in a `Variant` table owned by the kernel's module. The process
 /// runs the first entry the CPU supports (`widest_supported`, decided
-/// by `__builtin_cpu_supports`); tests iterate the whole table.
+/// by `__builtin_cpu_supports`); tests iterate the whole table. A table
+/// lists only the levels its kernel has code for: kAvx512Gfni appears
+/// only in the Anda KV unpack's (format/kv_format.cpp), whose bit-plane
+/// transpose it does with byte permutes and GF(2) affine transforms;
+/// every other kernel runs its kAvx512f code on such hosts.
 ///
 /// Every instantiation is bit-identical to the scalar oracle it
 /// replaces: it performs the same IEEE operations in the same order,
@@ -37,6 +41,8 @@
 #define ANDA_SIMD_X86 1
 #define ANDA_TARGET_AVX2 __attribute__((target("avx2,fma")))
 #define ANDA_TARGET_AVX512F __attribute__((target("avx512f")))
+#define ANDA_TARGET_AVX512_GFNI \
+    __attribute__((target("avx512f,avx512bw,avx512vbmi,gfni")))
 #else
 #define ANDA_SIMD_X86 0
 #endif
@@ -45,10 +51,12 @@ namespace anda::simd {
 
 /// ISA levels a kernel is instantiated for. kBaseline is the build's
 /// own target (SSE2 on x86-64) and runs everywhere; kAvx2 is AVX2 with
-/// FMA.
-enum class Isa { kBaseline, kAvx2, kAvx512f };
+/// FMA; kAvx512Gfni is AVX-512 F + BW + VBMI with GFNI (byte permutes
+/// and the GF(2) affine byte transform, which transposes an 8x8 bit
+/// matrix in one instruction).
+enum class Isa { kBaseline, kAvx2, kAvx512f, kAvx512Gfni };
 
-/// Short lowercase name ("baseline", "avx2", "avx512f").
+/// Short lowercase name ("baseline", "avx2", "avx512f", "avx512gfni").
 const char *isa_name(Isa isa);
 
 /// True when the host CPU (and OS) can execute code built for `isa`.

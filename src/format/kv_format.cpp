@@ -1,10 +1,15 @@
 #include "format/kv_format.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 
 #include "common/check.h"
+
+#if ANDA_SIMD_X86
+#include <immintrin.h>
+#endif
 
 namespace anda {
 
@@ -451,19 +456,153 @@ unpack_anda_lanes(const KvFormat &fmt, std::span<const std::byte> in,
     }
 }
 
-// kv_unpack_row of the quantized kinds over vectors of F / U / I lanes
+// kv_unpack_rows of the quantized kinds over vectors of F / U / I lanes
 // (the kBfp fields stay a scalar word-level path).
 template <class F, class U, class I>
 [[gnu::always_inline]] inline void
-unpack_quantized_lanes(const KvFormat &fmt, std::span<const std::byte> in,
-                       std::span<float> out)
+unpack_rows_lanes(const KvFormat &fmt, std::span<const std::byte *const> rows,
+                  std::size_t n, std::span<float> out)
 {
-    if (fmt.kind == KvKind::kAnda) {
-        unpack_anda_lanes<F, U, I>(fmt, in, out);
-    } else {
-        unpack_bfp(fmt, in, out, /*serial=*/false);
+    const std::size_t bytes = kv_row_bytes(fmt, n);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const std::span<const std::byte> in(rows[r], bytes);
+        const std::span<float> row = out.subspan(r * n, n);
+        if (fmt.kind == KvKind::kAnda) {
+            unpack_anda_lanes<F, U, I>(fmt, in, row);
+        } else {
+            unpack_bfp(fmt, in, row, /*serial=*/false);
+        }
     }
 }
+
+#if ANDA_SIMD_X86
+using u8x64 = std::uint8_t __attribute__((vector_size(64)));
+
+// Byte 8b + j holds 8j + b: byte b of plane j among planes stored 8
+// bytes apart.
+constexpr std::array<std::uint8_t, 64> kPlaneBytes = [] {
+    std::array<std::uint8_t, 64> idx = {};
+    for (int i = 0; i < 64; ++i) {
+        idx[i] = static_cast<std::uint8_t>(8 * (i % 8) + i / 8);
+    }
+    return idx;
+}();
+
+// Per vector v of 16 members, bytes 0 and 1 of dword l pick member
+// 16v + l of the low and the high mantissa bytes (a two-table permute).
+constexpr std::array<std::array<std::uint8_t, 64>, 4> kMemberWords = [] {
+    std::array<std::array<std::uint8_t, 64>, 4> idx = {};
+    for (int v = 0; v < 4; ++v) {
+        for (int l = 0; l < 16; ++l) {
+            idx[v][4 * l] = static_cast<std::uint8_t>(16 * v + l);
+            idx[v][4 * l + 1] = static_cast<std::uint8_t>(64 + 16 * v + l);
+        }
+    }
+    return idx;
+}();
+
+// The first `bytes` of 64 (a masked load reads, and faults on, nothing
+// else).
+inline __mmask64
+first_bytes(std::size_t bytes)
+{
+    return bytes >= 64 ? ~__mmask64{0} : (__mmask64{1} << bytes) - 1;
+}
+
+// kAnda unpack as a bit-matrix transpose. Mantissa bit i of member
+// 8b + k sits at bit k of byte b of plane m - 1 - i. vpermb gathers
+// byte b of eight planes into qword b (plane j + m - 8 at byte j for the
+// low mantissa byte, j + m - 16 for the high one, zero below plane 0),
+// and gf2p8affineqb with x = 0x8040201008040201 (byte k = 1 << k) sets
+// bit i of output byte k to bit k of input byte 7 - i: byte 8b + k of
+// the result is member 8b + k's mantissa byte. The high byte is only
+// built for m > 8. A second permute zero-extends 16 members' two bytes
+// into 32-bit lanes. Scale as in unpack_anda_lanes; the sign is an XOR
+// under the sign plane's mask.
+ANDA_TARGET_AVX512_GFNI void
+unpack_rows_avx512_gfni(const KvFormat &fmt,
+                        std::span<const std::byte *const> rows,
+                        std::size_t n, std::span<float> out)
+{
+    if (fmt.kind != KvKind::kAnda) {
+        unpack_rows_lanes<simd::f32x16, simd::u32x16, simd::i32x16>(
+            fmt, rows, n, out);
+        return;
+    }
+    const int m = fmt.mantissa_bits;
+    const std::size_t plane_bytes = 8 * static_cast<std::size_t>(m);
+    const __mmask64 load_lo = first_bytes(plane_bytes);
+    const __mmask64 load_hi =
+        first_bytes(plane_bytes - std::min<std::size_t>(plane_bytes, 64));
+    // Planes 0-7 are the permutes' first table and 8-15 the second; a
+    // negative plane's index wraps and is masked to zero.
+    u8x64 plane_bytes_idx;
+    std::memcpy(&plane_bytes_idx, kPlaneBytes.data(), sizeof plane_bytes_idx);
+    const __m512i idx_lo = (__m512i)(
+        plane_bytes_idx + static_cast<std::uint8_t>(8 * m - 64));
+    const __m512i idx_hi = (__m512i)(
+        plane_bytes_idx + static_cast<std::uint8_t>(8 * m - 128));
+    __m512i member_words[4];
+    std::memcpy(member_words, kMemberWords.data(), sizeof member_words);
+    constexpr std::uint64_t kEachQword = 0x0101010101010101;
+    const __mmask64 keep_lo =
+        kEachQword * (0xffu << std::max(8 - m, 0) & 0xffu);
+    const __mmask64 keep_hi =
+        kEachQword * (0xffu << std::clamp(16 - m, 0, 8) & 0xffu);
+    // Bytes 0 and 1 of every dword, or byte 0 alone for m <= 8.
+    const __mmask64 words =
+        m > 8 ? 0x3333333333333333 : 0x1111111111111111;
+    const __m512i transpose = _mm512_set1_epi64(0x8040201008040201);
+    const __m512i sign_bit = _mm512_set1_epi32(INT32_MIN);
+    const std::size_t group_bytes = anda_group_bytes(m);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const std::byte *group = rows[r];
+        float *dst = out.data() + r * n;
+        for (std::size_t base = 0; base < n;
+             base += kAndaGroupSize, group += group_bytes) {
+            const std::size_t len =
+                std::min<std::size_t>(kAndaGroupSize, n - base);
+            const int exp = std::to_integer<int>(group[0]);
+            const simd::f32x16 scale = __builtin_bit_cast(
+                simd::f32x16,
+                simd::u32x16{} +
+                    (static_cast<std::uint32_t>(exp + 113 - m) << 23));
+            const std::uint64_t sign = load_u64_le(group + 1);
+            const std::byte *planes = group + 9;
+            const __m512i p0 = _mm512_maskz_loadu_epi8(load_lo, planes);
+            const __m512i p1 =
+                m > 8 ? _mm512_maskz_loadu_epi8(load_hi, planes + 64)
+                      : _mm512_setzero_si512();
+            const __m512i mant_lo = _mm512_gf2p8affine_epi64_epi8(
+                transpose,
+                _mm512_maskz_permutex2var_epi8(keep_lo, p0, idx_lo, p1), 0);
+            const __m512i mant_hi =
+                m > 8 ? _mm512_gf2p8affine_epi64_epi8(
+                            transpose,
+                            _mm512_maskz_permutex2var_epi8(keep_hi, p0,
+                                                           idx_hi, p1),
+                            0)
+                      : mant_lo;
+            for (std::size_t v = 0; v * 16 < len; ++v) {
+                const simd::i32x16 mant =
+                    (simd::i32x16)_mm512_maskz_permutex2var_epi8(
+                        words, mant_lo, member_words[v], mant_hi);
+                const simd::f32x16 mag =
+                    __builtin_convertvector(mant, simd::f32x16) * scale;
+                const __m512i bits = _mm512_mask_xor_epi32(
+                    (__m512i)mag, static_cast<__mmask16>(sign >> (16 * v)),
+                    (__m512i)mag, sign_bit);
+                const std::size_t left = len - 16 * v;
+                _mm512_mask_storeu_epi32(
+                    dst + base + 16 * v,
+                    left >= 16 ? __mmask16{0xffff}
+                               : static_cast<__mmask16>((1u << left) - 1),
+                    bits);
+            }
+        }
+    }
+}
+#endif
 
 #if ANDA_SIMD_X86
 ANDA_TARGET_AVX512F void
@@ -485,19 +624,21 @@ kv_pack_row_avx2(const KvFormat &fmt, std::span<const float> row,
 }
 
 ANDA_TARGET_AVX512F void
-kv_unpack_row_avx512f(const KvFormat &fmt, std::span<const std::byte> in,
-                      std::span<float> out)
+kv_unpack_rows_avx512f(const KvFormat &fmt,
+                       std::span<const std::byte *const> rows,
+                       std::size_t n, std::span<float> out)
 {
-    unpack_quantized_lanes<simd::f32x16, simd::u32x16, simd::i32x16>(
-        fmt, in, out);
+    unpack_rows_lanes<simd::f32x16, simd::u32x16, simd::i32x16>(fmt, rows,
+                                                                n, out);
 }
 
 ANDA_TARGET_AVX2 void
-kv_unpack_row_avx2(const KvFormat &fmt, std::span<const std::byte> in,
-                   std::span<float> out)
+kv_unpack_rows_avx2(const KvFormat &fmt,
+                    std::span<const std::byte *const> rows, std::size_t n,
+                    std::span<float> out)
 {
-    unpack_quantized_lanes<simd::f32x8, simd::u32x8, simd::i32x8>(fmt, in,
-                                                                  out);
+    unpack_rows_lanes<simd::f32x8, simd::u32x8, simd::i32x8>(fmt, rows, n,
+                                                             out);
 }
 #endif
 
@@ -511,11 +652,12 @@ kv_pack_row_baseline(const KvFormat &fmt, std::span<const float> row,
 }
 
 void
-kv_unpack_row_baseline(const KvFormat &fmt, std::span<const std::byte> in,
-                       std::span<float> out)
+kv_unpack_rows_baseline(const KvFormat &fmt,
+                        std::span<const std::byte *const> rows,
+                        std::size_t n, std::span<float> out)
 {
-    unpack_quantized_lanes<simd::f32x4, simd::u32x4, simd::i32x4>(fmt, in,
-                                                                  out);
+    unpack_rows_lanes<simd::f32x4, simd::u32x4, simd::i32x4>(fmt, rows, n,
+                                                             out);
 }
 
 constexpr simd::Variant<detail::KvPackRowFn> kKvPackRowVariants[] = {
@@ -526,12 +668,13 @@ constexpr simd::Variant<detail::KvPackRowFn> kKvPackRowVariants[] = {
     {simd::Isa::kBaseline, kv_pack_row_baseline},
 };
 
-constexpr simd::Variant<detail::KvUnpackRowFn> kKvUnpackRowVariants[] = {
+constexpr simd::Variant<detail::KvUnpackRowsFn> kKvUnpackRowsVariants[] = {
 #if ANDA_SIMD_X86
-    {simd::Isa::kAvx512f, kv_unpack_row_avx512f},
-    {simd::Isa::kAvx2, kv_unpack_row_avx2},
+    {simd::Isa::kAvx512Gfni, unpack_rows_avx512_gfni},
+    {simd::Isa::kAvx512f, kv_unpack_rows_avx512f},
+    {simd::Isa::kAvx2, kv_unpack_rows_avx2},
 #endif
-    {simd::Isa::kBaseline, kv_unpack_row_baseline},
+    {simd::Isa::kBaseline, kv_unpack_rows_baseline},
 };
 
 }  // namespace
@@ -617,10 +760,10 @@ detail::kv_pack_row_variants()
     return kKvPackRowVariants;
 }
 
-std::span<const simd::Variant<detail::KvUnpackRowFn>>
-detail::kv_unpack_row_variants()
+std::span<const simd::Variant<detail::KvUnpackRowsFn>>
+detail::kv_unpack_rows_variants()
 {
-    return kKvUnpackRowVariants;
+    return kKvUnpackRowsVariants;
 }
 
 void
@@ -646,13 +789,25 @@ kv_unpack_row(const KvFormat &fmt, std::span<const std::byte> in,
 {
     ANDA_DCHECK_EQ(in.size(), kv_row_bytes(fmt, out.size()),
                    "packed KV row span size mismatch");
+    const std::byte *const row = in.data();
+    kv_unpack_rows(fmt, {&row, 1}, out.size(), out);
+}
+
+void
+kv_unpack_rows(const KvFormat &fmt, std::span<const std::byte *const> rows,
+               std::size_t n, std::span<float> out)
+{
+    ANDA_DCHECK_EQ(out.size(), rows.size() * n,
+                   "unpacked KV rows span size mismatch");
     if (fmt.kind == KvKind::kFp32) {
-        std::memcpy(out.data(), in.data(), 4 * out.size());
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            std::memcpy(out.data() + r * n, rows[r], 4 * n);
+        }
         return;
     }
-    static detail::KvUnpackRowFn *const run =
-        simd::widest_supported(detail::kv_unpack_row_variants());
-    run(fmt, in, out);
+    static detail::KvUnpackRowsFn *const run =
+        simd::widest_supported(detail::kv_unpack_rows_variants());
+    run(fmt, rows, n, out);
 }
 
 void

@@ -22,10 +22,13 @@
 ///
 /// Both quantized kinds support truncation (the hardware default, as
 /// in encode_bfp_group) and round-to-nearest with saturation at the
-/// mantissa ceiling. kv_pack_row / kv_unpack_row are the fast paths,
-/// run on the widest vector ISA the host supports (common/simd.h): the
-/// quantizer's FP16 conversions and shifts, and the kAnda unpack's
-/// plane transpose, work on group members in lanes.
+/// mantissa ceiling. kv_pack_row / kv_unpack_row / kv_unpack_rows are
+/// the fast paths, run on the widest vector ISA the host supports
+/// (common/simd.h): the quantizer's FP16 conversions and shifts, and the
+/// kAnda unpack's plane transpose, work on group members in lanes. On
+/// hosts with AVX-512 VBMI and GFNI the kAnda unpack is a bit-matrix
+/// transpose instead: one byte permute gathers each member byte's
+/// planes, one GF(2) affine transform turns them into mantissa bytes.
 /// kv_pack_row_serial / kv_unpack_row_serial quantize one element at a
 /// time and emit and reassemble one bit per step the way the bit-plane
 /// hardware does, and tests assert every fast-path instantiation is
@@ -109,6 +112,14 @@ void kv_pack_row(const KvFormat &fmt, std::span<const float> row,
 void kv_unpack_row(const KvFormat &fmt, std::span<const std::byte> in,
                    std::span<float> out);
 
+/// Unpacks rows.size() packed rows of `n` elements (rows[r] points at
+/// kv_row_bytes(fmt, n) bytes, anywhere: consecutive rows may sit on
+/// different pages) into out ([rows.size() x n], row-major). Each row
+/// is bit-identical to kv_unpack_row of it.
+void kv_unpack_rows(const KvFormat &fmt,
+                    std::span<const std::byte *const> rows, std::size_t n,
+                    std::span<float> out);
+
 /// Bit-serial reference implementations: identical quantization, but
 /// planes/fields are emitted and reassembled one bit per step, the
 /// way the bit-plane hardware streams them. Tests assert the fast
@@ -122,19 +133,20 @@ void kv_unpack_row_serial(const KvFormat &fmt,
 
 namespace detail {
 
-/// Signatures of one ISA instantiation of kv_pack_row / kv_unpack_row
+/// Signatures of one ISA instantiation of kv_pack_row / kv_unpack_rows
 /// for the quantized kinds (kBfp, kAnda; span sizes already checked).
 /// kFp32 rows are raw copies and do not reach them.
 using KvPackRowFn = void(const KvFormat &fmt, std::span<const float> row,
                          std::span<std::byte> out);
-using KvUnpackRowFn = void(const KvFormat &fmt,
-                           std::span<const std::byte> in,
-                           std::span<float> out);
+using KvUnpackRowsFn = void(const KvFormat &fmt,
+                            std::span<const std::byte *const> rows,
+                            std::size_t n, std::span<float> out);
 
 /// Every instantiation, widest first (tests run each one the host
-/// supports against the bit-serial oracles).
+/// supports against the bit-serial oracles). kv_unpack_row is
+/// kv_unpack_rows of one row.
 std::span<const simd::Variant<KvPackRowFn>> kv_pack_row_variants();
-std::span<const simd::Variant<KvUnpackRowFn>> kv_unpack_row_variants();
+std::span<const simd::Variant<KvUnpackRowsFn>> kv_unpack_rows_variants();
 
 }  // namespace detail
 

@@ -183,18 +183,19 @@ dequant_panel(const WeightPanels &w, std::size_t p, float *out)
     }
 }
 
-// The serial panel GeMM: panels outer (one panel stays in L1 across
-// the token rows), blocks of R token rows inner, single rows last. A
-// W4 panel is dequantized once into a per-call scratch first.
+// The serial panel GeMM over panels [p0, p1): panels outer (one panel
+// stays in L1 across the token rows), blocks of R token rows inner,
+// single rows last. A W4 panel is dequantized once into a per-call
+// scratch first.
 template <class V, class VI, class VQ, int R, int L>
 [[gnu::always_inline]] inline void
 panel_gemm(const float *a, std::size_t rows, const WeightPanels &w,
-           float *c)
+           std::size_t p0, std::size_t p1, float *c)
 {
     const std::size_t k = w.cols();
     const std::size_t n = w.rows();
     std::vector<float> scratch(w.w4() ? k * kPanel : 0);
-    for (std::size_t p = 0; p < w.panels(); ++p) {
+    for (std::size_t p = p0; p < p1; ++p) {
         if (w.w4()) {
             dequant_panel<V, VI, VQ>(w, p, scratch.data());
         }
@@ -221,24 +222,28 @@ panel_gemm(const float *a, std::size_t rows, const WeightPanels &w,
 #if ANDA_SIMD_X86
 ANDA_TARGET_AVX512F void
 panel_gemm_avx512f(const float *a, std::size_t rows, const WeightPanels &w,
-                   float *c)
+                   std::size_t p0, std::size_t p1, float *c)
 {
-    panel_gemm<simd::f32x16, simd::i32x16, simd::u64x8, 4, 4>(a, rows, w, c);
+    panel_gemm<simd::f32x16, simd::i32x16, simd::u64x8, 4, 4>(a, rows, w, p0,
+                                                             p1, c);
 }
 
 ANDA_TARGET_AVX2 void
 panel_gemm_avx2(const float *a, std::size_t rows, const WeightPanels &w,
-                float *c)
+                std::size_t p0, std::size_t p1, float *c)
 {
-    panel_gemm<simd::f32x8, simd::i32x8, simd::u64x4, 4, 1>(a, rows, w, c);
+    panel_gemm<simd::f32x8, simd::i32x8, simd::u64x4, 4, 1>(a, rows, w, p0,
+                                                           p1, c);
 }
 #endif
 
 void
 panel_gemm_baseline(const float *a, std::size_t rows,
-                    const WeightPanels &w, float *c)
+                    const WeightPanels &w, std::size_t p0, std::size_t p1,
+                    float *c)
 {
-    panel_gemm<simd::f32x4, simd::i32x4, simd::u64x2, 2, 1>(a, rows, w, c);
+    panel_gemm<simd::f32x4, simd::i32x4, simd::u64x2, 2, 1>(a, rows, w, p0,
+                                                           p1, c);
 }
 
 constexpr simd::Variant<detail::PanelGemmFn> kPanelGemmVariants[] = {
@@ -257,13 +262,23 @@ detail::panel_gemm_variants()
     return kPanelGemmVariants;
 }
 
+namespace {
+
+detail::PanelGemmFn *
+run_panels()
+{
+    static detail::PanelGemmFn *const run =
+        simd::widest_supported(detail::panel_gemm_variants());
+    return run;
+}
+
+}  // namespace
+
 void
 matmul_wt(const float *a, std::size_t rows, const WeightPanels &w,
           float *c)
 {
-    static detail::PanelGemmFn *const run =
-        simd::widest_supported(detail::panel_gemm_variants());
-    run(a, rows, w, c);
+    run_panels()(a, rows, w, 0, w.panels(), c);
 }
 
 Matrix
@@ -272,10 +287,9 @@ matmul_wt(const Matrix &a, const WeightPanels &w, std::size_t threads)
     check_gemm_shapes(a.cols(), w.cols(), "matmul_wt");
     Matrix c(a.rows(), w.rows());
     parallel_for_chunked(
-        0, a.rows(),
+        0, w.panels(),
         [&](std::size_t lo, std::size_t hi) {
-            matmul_wt(a.data() + lo * a.cols(), hi - lo, w,
-                      c.data() + lo * w.rows());
+            run_panels()(a.data(), a.rows(), w, lo, hi, c.data());
         },
         threads);
     return c;

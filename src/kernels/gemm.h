@@ -162,9 +162,11 @@ class WeightPanels {
 void matmul_wt(const float *a, std::size_t rows, const WeightPanels &w,
                float *c);
 
-/// C = A * W^T against packed weights, parallelized over token rows.
-/// threads = 0 uses all cores; 1 runs serially (callers that already
-/// parallelize at a coarser grain pass 1).
+/// C = A * W^T against packed weights, parallelized over ranges of
+/// weight panels: each chunk writes its panels' output columns of every
+/// row, and a W4 panel is dequantized once per call whatever the thread
+/// count. threads = 0 uses all cores; 1 runs serially (callers that
+/// already parallelize at a coarser grain pass 1).
 Matrix matmul_wt(const Matrix &a, const WeightPanels &w,
                  std::size_t threads = 0);
 
@@ -236,9 +238,12 @@ std::int64_t anda_group_dot(const AndaGroup &g, int mantissa_bits,
 
 namespace detail {
 
-/// Signature of one ISA instantiation of the serial panel GeMM.
+/// Signature of one ISA instantiation of the serial panel GeMM over
+/// panels [p0, p1) of w: it writes output columns [16 p0, min(16 p1,
+/// N)) of every row of c and no others.
 using PanelGemmFn = void(const float *a, std::size_t rows,
-                         const WeightPanels &w, float *c);
+                         const WeightPanels &w, std::size_t p0,
+                         std::size_t p1, float *c);
 
 /// Every instantiation, widest first (tests run each one the host
 /// supports against dot_f32).

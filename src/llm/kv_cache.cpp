@@ -1,6 +1,10 @@
 #include "llm/kv_cache.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <memory>
+
+#include <sys/mman.h>
 
 #include "common/check.h"
 
@@ -8,12 +12,41 @@ namespace anda {
 
 namespace {
 
+/// Blocks from this size up are mapped; a mapping is whole pages, too
+/// coarse for the short slab caches.
+constexpr std::size_t kMapBytes = std::size_t{128} << 10;
+
 /// First non-trivial allocation: small enough that a short prompt
 /// stays cheap, large enough that tiny prompts don't immediately
 /// regrow.
 constexpr std::size_t kMinCapacity = 16;
 
 }  // namespace
+
+void *
+detail::kv_block_allocate(std::size_t bytes)
+{
+    if (bytes >= kMapBytes) {
+        void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED) {
+            throw std::bad_alloc();
+        }
+        return p;
+    }
+    return std::allocator<std::byte>{}.allocate(bytes);
+}
+
+void
+detail::kv_block_deallocate(void *p, std::size_t bytes)
+{
+    if (bytes >= kMapBytes) {
+        ::munmap(p, bytes);
+        return;
+    }
+    std::allocator<std::byte>{}.deallocate(static_cast<std::byte *>(p),
+                                           bytes);
+}
 
 KvRows::KvRows(std::size_t n_layers, std::size_t d_model, KvFormat fmt,
                std::size_t slots)
@@ -31,7 +64,7 @@ KvRows::grow(std::size_t slots)
 {
     const std::size_t words =
         (slots * row_bytes_ + sizeof(float) - 1) / sizeof(float);
-    for (std::vector<float> &block : blocks_) {
+    for (auto &block : blocks_) {
         // reserve() first: resize() alone may over-allocate.
         block.reserve(words);
         block.resize(words);

@@ -27,6 +27,48 @@
 
 namespace anda {
 
+namespace detail {
+
+/// Storage of one KvRows block of `bytes` bytes, and its release. A
+/// block of 128 KiB or more gets an anonymous memory mapping of its
+/// own, outside the malloc heap; a smaller one comes from
+/// std::allocator. A serving run makes its page pool's multi-megabyte
+/// blocks at its start and frees them at its end. In the heap, whether
+/// they fit back into the space the previous run freed would depend on
+/// where small allocations had landed since, and the resident peak of
+/// identical runs would differ by most of a block.
+void *kv_block_allocate(std::size_t bytes);
+void kv_block_deallocate(void *p, std::size_t bytes);
+
+/// std::vector allocator over kv_block_allocate.
+template <class T>
+struct KvBlockAllocator {
+    using value_type = T;
+
+    KvBlockAllocator() = default;
+    template <class U>
+    KvBlockAllocator(const KvBlockAllocator<U> &)
+    {
+    }
+
+    T *allocate(std::size_t n)
+    {
+        return static_cast<T *>(kv_block_allocate(n * sizeof(T)));
+    }
+    void deallocate(T *p, std::size_t n)
+    {
+        kv_block_deallocate(p, n * sizeof(T));
+    }
+
+    template <class U>
+    bool operator==(const KvBlockAllocator<U> &) const
+    {
+        return true;
+    }
+};
+
+}  // namespace detail
+
 /// The K and V rows of every layer in one KvFormat: per (tensor,
 /// layer) a block of slots() rows of row_bytes() =
 /// kv_row_bytes(format, d_model) bytes each, unpadded. Blocks are
@@ -69,7 +111,8 @@ class KvRows {
     std::size_t row_bytes_ = 0;
     std::size_t slots_ = 0;
     /// Block of (tensor, layer) at [2 * layer + tensor].
-    std::vector<std::vector<float>> blocks_;
+    std::vector<std::vector<float, detail::KvBlockAllocator<float>>>
+        blocks_;
 };
 
 /// One cached sequence: committed K/V rows across all layers, with

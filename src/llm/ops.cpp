@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -685,6 +686,253 @@ attention_head(std::span<const float *const> q,
     }
 }
 
+// ---- Decode attention over every head ----
+
+// lo / hi = the interleaved low / high halves of a and b (a0 b0 a1 b1
+// ..., then the upper halves): one step of the transpose below.
+template <class V, std::size_t... I>
+[[gnu::always_inline]] inline void
+zip_lanes(const V &a, const V &b, V &lo, V &hi, std::index_sequence<I...>)
+{
+    constexpr std::size_t kLanes = sizeof...(I);
+    lo = __builtin_shufflevector(a, b, ((I % 2) * kLanes + I / 2)...);
+    hi = __builtin_shufflevector(a, b,
+                                 ((I % 2) * kLanes + kLanes / 2 + I / 2)...);
+}
+
+// Channels [c0, c0 + 16) of 16 key rows, transposed into
+// kt[(c0 + c) * 16 + j] in register blocks of lanes x lanes: log2(lanes)
+// rounds of zip_lanes over the pairs (t, t + lanes / 2) transpose a
+// block (a 16x16 one in a single block at 16 lanes).
+template <class V>
+[[gnu::always_inline]] inline void
+transpose_column(const float *const (&rows)[kKeyBlock], std::size_t c0,
+                 float *kt)
+{
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+    for (std::size_t jb = 0; jb < kKeyBlock; jb += kLanes) {
+        for (std::size_t cb = 0; cb < kKeyBlock; cb += kLanes) {
+            V r[kLanes];
+            for (std::size_t t = 0; t < kLanes; ++t) {
+                std::memcpy(&r[t], rows[jb + t] + c0 + cb, sizeof(V));
+            }
+            for (std::size_t round = 1; round < kLanes; round *= 2) {
+                V z[kLanes];
+                for (std::size_t t = 0; t < kLanes / 2; ++t) {
+                    zip_lanes(r[t], r[t + kLanes / 2], z[2 * t],
+                              z[2 * t + 1],
+                              std::make_index_sequence<kLanes>{});
+                }
+                std::memcpy(r, z, sizeof r);
+            }
+            for (std::size_t c = 0; c < kLanes; ++c) {
+                std::memcpy(kt + (c0 + cb + c) * kKeyBlock + jb, &r[c],
+                            sizeof(V));
+            }
+        }
+    }
+}
+
+// Scores of H heads from head h0 against KB transposed key blocks
+// (block b holds channel c of its keys at kt[b * block + c * 16]), the
+// heads' and blocks' chains interleaved: s[h][j] = (sum of q[h * hd +
+// c] * k[j][h * hd + c] over c ascending, from 0.0f) * scale.
+template <class V, int H, int KB>
+[[gnu::always_inline]] inline void
+score_heads(const float *q, std::size_t h0, std::size_t hd,
+            const float *kt, std::size_t block, float scale, float *s,
+            std::size_t stride)
+{
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+    constexpr int kVecs = static_cast<int>(kKeyBlock / kLanes);
+    V acc[H][KB * kVecs] = {};
+    for (std::size_t c = 0; c < hd; ++c) {
+        for (int h = 0; h < H; ++h) {
+            const std::size_t ch = (h0 + h) * hd + c;
+            const float x = q[ch];
+            for (int b = 0; b < KB; ++b) {
+                for (int u = 0; u < kVecs; ++u) {
+                    V k;
+                    std::memcpy(&k,
+                                kt + b * block + ch * kKeyBlock + u * kLanes,
+                                sizeof k);
+                    acc[h][b * kVecs + u] += x * k;
+                }
+            }
+        }
+    }
+    for (int h = 0; h < H; ++h) {
+        for (int u = 0; u < KB * kVecs; ++u) {
+            const V sv = acc[h][u] * scale;
+            std::memcpy(s + (h0 + h) * stride + u * kLanes, &sv, sizeof sv);
+        }
+    }
+}
+
+// Every head's scores against KB key blocks: heads in groups of H, then
+// one at a time.
+template <class V, int H, int KB>
+[[gnu::always_inline]] inline void
+score_blocks(const float *q, std::size_t heads, std::size_t hd,
+             const float *kt, std::size_t block, float scale, float *s,
+             std::size_t stride)
+{
+    std::size_t h = 0;
+    for (; h + H <= heads; h += H) {
+        score_heads<V, H, KB>(q, h, hd, kt, block, scale, s, stride);
+    }
+    for (; h < heads; ++h) {
+        score_heads<V, 1, KB>(q, h, hd, kt, block, scale, s, stride);
+    }
+}
+
+// Context of one key block added to out over channels [c, c + CV *
+// lanes), each vector inside one head (hd a multiple of the lanes): out
+// accumulates p[head][j] * v[j][c] over the block's keys ascending.
+template <class V, int CV>
+[[gnu::always_inline]] inline void
+context_block(const float *const (&rows)[kKeyBlock], std::size_t nk,
+              const float *p, std::size_t stride, std::size_t hd,
+              std::size_t c, float *out)
+{
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+    const float *ph[CV];
+    V acc[CV];
+    for (int u = 0; u < CV; ++u) {
+        ph[u] = p + (c + u * kLanes) / hd * stride;
+        std::memcpy(&acc[u], out + c + u * kLanes, sizeof(V));
+    }
+    for (std::size_t j = 0; j < nk; ++j) {
+        for (int u = 0; u < CV; ++u) {
+            V x;
+            std::memcpy(&x, rows[j] + c + u * kLanes, sizeof x);
+            acc[u] += ph[u][j] * x;
+        }
+    }
+    std::memcpy(out + c, acc, sizeof acc);
+}
+
+// Points rows[0, 16) at the float images of key block [j0, j0 + nk):
+// FP32 rows in place, quantized ones unpacked into `tile` by one
+// kv_unpack_rows call; rows past nk point at a zero row.
+[[gnu::always_inline]] inline void
+block_rows(const KvFormat &fmt, std::span<const std::byte *const> packed,
+           std::size_t j0, std::size_t nk, std::size_t d, float *tile,
+           const float *zero, const float *(&rows)[kKeyBlock])
+{
+    if (fmt.quantized()) {
+        kv_unpack_rows(fmt, packed.subspan(j0, nk), d, {tile, nk * d});
+        for (std::size_t j = 0; j < nk; ++j) {
+            rows[j] = tile + j * d;
+        }
+    } else {
+        for (std::size_t j = 0; j < nk; ++j) {
+            rows[j] = reinterpret_cast<const float *>(packed[j0 + j]);
+        }
+    }
+    for (std::size_t j = nk; j < kKeyBlock; ++j) {
+        rows[j] = zero;
+    }
+}
+
+// attend_decode over V lanes with exp E: pass 1 scores every head
+// against KB 16-key blocks at a time, pass 2 runs the softmax of each
+// head's row, pass 3 adds every head's context per block. Heads go in
+// groups of H, then one at a time; the context in vectors of CV * lanes
+// channels.
+template <class E, class V, int H, int KB, int CV>
+[[gnu::always_inline]] inline void
+attend_decode_lanes(std::span<const float> q, const KvFormat &fmt,
+                    std::span<const std::byte *const> k,
+                    std::span<const std::byte *const> v, std::size_t hd,
+                    std::span<float> out)
+{
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+    const std::size_t d = q.size();
+    const std::size_t heads = d / hd;
+    const std::size_t kv_len = k.size();
+    const std::size_t blocks = (kv_len + kKeyBlock - 1) / kKeyBlock;
+    const std::size_t stride = blocks * kKeyBlock;
+    const std::size_t block = kKeyBlock * d;
+    // Scores, a [KB * 16][d] unpack tile, KB transposed [d][16] key
+    // blocks and a zero row.
+    const auto buf = std::make_unique_for_overwrite<float[]>(
+        heads * stride + 2 * KB * block + d);
+    float *s = buf.get();
+    float *tile = s + heads * stride;
+    float *kt = tile + KB * block;
+    float *zero = kt + KB * block;
+    std::fill_n(zero, d, 0.0f);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    const std::size_t d16 = d / kKeyBlock * kKeyBlock;
+    const float *rows[kKeyBlock];
+    for (std::size_t b0 = 0; b0 < blocks; b0 += KB) {
+        const std::size_t nb = std::min<std::size_t>(KB, blocks - b0);
+        for (std::size_t b = 0; b < nb; ++b) {
+            const std::size_t j0 = (b0 + b) * kKeyBlock;
+            block_rows(fmt, k, j0, std::min(kKeyBlock, kv_len - j0), d,
+                       tile + b * block, zero, rows);
+            float *ktb = kt + b * block;
+            for (std::size_t c0 = 0; c0 < d16; c0 += kKeyBlock) {
+                transpose_column<V>(rows, c0, ktb);
+            }
+            for (std::size_t c = d16; c < d; ++c) {
+                for (std::size_t j = 0; j < kKeyBlock; ++j) {
+                    ktb[c * kKeyBlock + j] = rows[j][c];
+                }
+            }
+        }
+        float *sb = s + b0 * kKeyBlock;
+        if (nb == KB) {
+            score_blocks<V, H, KB>(q.data(), heads, hd, kt, block, scale, sb,
+                                   stride);
+        } else {
+            for (std::size_t b = 0; b < nb; ++b) {
+                score_blocks<V, H, 1>(q.data(), heads, hd, kt + b * block,
+                                      block, scale, sb + b * kKeyBlock,
+                                      stride);
+            }
+        }
+    }
+    std::size_t vis[H];
+    std::fill_n(vis, H, kv_len);
+    std::size_t h = 0;
+    for (; h + H <= heads; h += H) {
+        softmax_rows<E, V, H>(s + h * stride, stride, vis);
+    }
+    for (; h < heads; ++h) {
+        const std::size_t vis1[1] = {kv_len};
+        softmax_rows<E, V, 1>(s + h * stride, stride, vis1);
+    }
+    std::fill(out.begin(), out.end(), 0.0f);
+    const bool vector_heads = hd % kLanes == 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+        const std::size_t j0 = b * kKeyBlock;
+        const std::size_t nk = std::min(kKeyBlock, kv_len - j0);
+        block_rows(fmt, v, j0, nk, d, tile, zero, rows);
+        if (vector_heads) {
+            std::size_t c = 0;
+            for (; c + CV * kLanes <= d; c += CV * kLanes) {
+                context_block<V, CV>(rows, nk, s + j0, stride, hd, c,
+                                     out.data());
+            }
+            for (; c < d; c += kLanes) {
+                context_block<V, 1>(rows, nk, s + j0, stride, hd, c,
+                                    out.data());
+            }
+        } else {
+            for (std::size_t c = 0; c < d; ++c) {
+                const float *p = s + c / hd * stride + j0;
+                float acc = out[c];
+                for (std::size_t j = 0; j < nk; ++j) {
+                    acc += p[j] * rows[j][c];
+                }
+                out[c] = acc;
+            }
+        }
+    }
+}
+
 #if ANDA_SIMD_X86
 ANDA_TARGET_AVX512F void
 attention_head_avx512f(std::span<const float *const> q,
@@ -706,6 +954,26 @@ attention_head_avx2(std::span<const float *const> q,
 {
     attention_head<ExpAvx2, simd::f32x8, 4, 1, 2, 4, 4>(q, k, v, col, hd,
                                                         q_offset, out);
+}
+
+ANDA_TARGET_AVX512F void
+attend_decode_avx512f(std::span<const float> q, const KvFormat &fmt,
+                      std::span<const std::byte *const> k,
+                      std::span<const std::byte *const> v, std::size_t hd,
+                      std::span<float> out)
+{
+    attend_decode_lanes<ExpAvx512f, simd::f32x16, 4, 2, 8>(q, fmt, k, v,
+                                                           hd, out);
+}
+
+ANDA_TARGET_AVX2 void
+attend_decode_avx2(std::span<const float> q, const KvFormat &fmt,
+                   std::span<const std::byte *const> k,
+                   std::span<const std::byte *const> v, std::size_t hd,
+                   std::span<float> out)
+{
+    attend_decode_lanes<ExpAvx2, simd::f32x8, 4, 1, 8>(q, fmt, k, v, hd,
+                                                       out);
 }
 
 ANDA_TARGET_AVX512F void
@@ -759,6 +1027,16 @@ attention_head_baseline(std::span<const float *const> q,
 }
 
 void
+attend_decode_baseline(std::span<const float> q, const KvFormat &fmt,
+                       std::span<const std::byte *const> k,
+                       std::span<const std::byte *const> v, std::size_t hd,
+                       std::span<float> out)
+{
+    attend_decode_lanes<ExpLibm, simd::f32x4, 2, 1, 4>(q, fmt, k, v, hd,
+                                                       out);
+}
+
+void
 expf_baseline(std::span<const float> x, std::span<float> y)
 {
     std::copy(x.begin(), x.end(), y.begin());
@@ -784,6 +1062,14 @@ constexpr simd::Variant<detail::CausalAttentionHeadFn>
         {simd::Isa::kAvx2, attention_head_avx2},
 #endif
         {simd::Isa::kBaseline, attention_head_baseline},
+};
+
+constexpr simd::Variant<detail::AttendDecodeFn> kAttendDecodeVariants[] = {
+#if ANDA_SIMD_X86
+    {simd::Isa::kAvx512f, attend_decode_avx512f},
+    {simd::Isa::kAvx2, attend_decode_avx2},
+#endif
+    {simd::Isa::kBaseline, attend_decode_baseline},
 };
 
 constexpr simd::Variant<detail::ExpfFn> kExpfVariants[] = {
@@ -816,6 +1102,12 @@ std::span<const simd::Variant<detail::CausalAttentionHeadFn>>
 detail::causal_attention_head_variants()
 {
     return kAttentionHeadVariants;
+}
+
+std::span<const simd::Variant<detail::AttendDecodeFn>>
+detail::attend_decode_variants()
+{
+    return kAttendDecodeVariants;
 }
 
 std::span<const simd::Variant<detail::ExpfFn>>
@@ -859,6 +1151,22 @@ causal_attention_head(std::span<const float *const> q,
     static detail::CausalAttentionHeadFn *const run =
         simd::widest_supported(detail::causal_attention_head_variants());
     run(q, k, v, col, head_dim, q_offset, out);
+}
+
+void
+attend_decode(std::span<const float> q, const KvFormat &fmt,
+              std::span<const std::byte *const> k,
+              std::span<const std::byte *const> v, std::size_t head_dim,
+              std::span<float> out)
+{
+    ANDA_DCHECK_EQ(k.size(), v.size(), "attention K/V row counts differ");
+    ANDA_DCHECK(!k.empty(), "a decode row attends to at least itself");
+    ANDA_DCHECK(head_dim > 0 && q.size() % head_dim == 0,
+                "query row is not a whole number of heads");
+    ANDA_DCHECK_EQ(q.size(), out.size(), "attention output width mismatch");
+    static detail::AttendDecodeFn *const run =
+        simd::widest_supported(detail::attend_decode_variants());
+    run(q, fmt, k, v, head_dim, out);
 }
 
 double

@@ -10,6 +10,7 @@
 #include <span>
 
 #include "common/simd.h"
+#include "format/kv_format.h"
 
 namespace anda {
 
@@ -79,7 +80,36 @@ void causal_attention_head(std::span<const float *const> q,
                            std::size_t q_offset,
                            std::span<float *const> out);
 
+/// Attention of one decode row over every head: q (heads x head_dim
+/// floats) attends to all k.size() cached keys, whose K and V rows are
+/// given as packed rows in `fmt` (kv_row_bytes(fmt, q.size()) bytes
+/// each; an FP32 row is its float image, read in place), and the
+/// context lands in out (q.size() floats). Bit-identical to unpacking
+/// every row and running causal_attention_head per head with q_offset
+/// k.size() - 1: scores over channels ascending, each softmax row as
+/// softmax_inplace, context over keys ascending, both from 0.0f. Keys
+/// go a 16-key block at a time, and no decoded K/V outlives the call:
+/// a quantized block is unpacked into an L1 tile by one kv_unpack_rows
+/// call. Pass 1 transposes each block's 16-channel columns in
+/// registers and scores every head with their chains interleaved; pass
+/// 2 runs the softmax of each head's row; pass 3 unpacks each V block
+/// and accumulates every head's context in registers. Runs the widest
+/// vector instantiation the host supports.
+void attend_decode(std::span<const float> q, const KvFormat &fmt,
+                   std::span<const std::byte *const> k,
+                   std::span<const std::byte *const> v,
+                   std::size_t head_dim, std::span<float> out);
+
 namespace detail {
+
+/// Signature of one ISA instantiation of attend_decode.
+using AttendDecodeFn = void(std::span<const float> q, const KvFormat &fmt,
+                            std::span<const std::byte *const> k,
+                            std::span<const std::byte *const> v,
+                            std::size_t head_dim, std::span<float> out);
+
+/// Every instantiation, widest first.
+std::span<const simd::Variant<AttendDecodeFn>> attend_decode_variants();
 
 /// Signature of one ISA instantiation of causal_attention_head.
 using CausalAttentionHeadFn = void(std::span<const float *const> q,

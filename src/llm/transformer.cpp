@@ -314,17 +314,20 @@ Transformer::run_block(std::size_t layer, Matrix &x,
     Matrix ctx(t_len, d);
     {
         // Per-row pointers of the current sequence, resolved once per
-        // sequence (not once per head); the attention kernel reads
-        // each head's columns in place. With a cache the K/V rows
-        // come through the KvSeq page/slab indirection; without one,
-        // from the local projection block.
+        // sequence (not once per head). With a cache the K/V rows come
+        // through the KvSeq page/slab indirection as packed rows; a
+        // decode row (one query row against a cache) attends to them
+        // straight from the cache, every head in one attend_decode
+        // call. Other rows run causal_attention_head per head on float
+        // rows: FP32 cache rows in place, quantized ones unpacked once
+        // per (sequence, layer) into kgat/vgat, and without a cache the
+        // local projection block.
         std::vector<const float *> qrows;
         std::vector<float *> orows;
         std::vector<const float *> krows;
         std::vector<const float *> vrows;
-        // Dequantize-on-attend scratch: a quantized cache has no
-        // in-place float rows, so its prefix is unpacked here once
-        // per (sequence, layer) and the pointers address the scratch.
+        std::vector<const std::byte *> kpacked;
+        std::vector<const std::byte *> vpacked;
         Matrix kgat;
         Matrix vgat;
         std::size_t r0 = 0;
@@ -341,22 +344,38 @@ Transformer::run_block(std::size_t layer, Matrix &x,
             vrows.resize(kv_len);
             if (kv != nullptr) {
                 const KvSeq &c = kv->seq(s);
-                if (c.format().quantized()) {
+                const KvFormat &fmt = c.format();
+                kpacked.resize(kv_len);
+                vpacked.resize(kv_len);
+                for (std::size_t t = 0; t < kv_len; ++t) {
+                    kpacked[t] = c.packed_k_row(layer, t).data();
+                    vpacked[t] = c.packed_v_row(layer, t).data();
+                }
+                if (len == 1) {
+                    attend_decode(q.row(r0), fmt, kpacked, vpacked, hd,
+                                  ctx.row(r0));
+                    r0 += len;
+                    continue;
+                }
+                if (fmt.quantized()) {
                     if (kgat.rows() < kv_len) {
                         kgat = Matrix(kv_len, d);
                         vgat = Matrix(kv_len, d);
                     }
-                    for (std::size_t t = 0; t < kv_len; ++t) {
-                        c.load_k(layer, t, kgat.row(t));
-                        c.load_v(layer, t, vgat.row(t));
-                        krows[t] = kgat.row(t).data();
-                        vrows[t] = vgat.row(t).data();
-                    }
-                } else {
-                    for (std::size_t t = 0; t < kv_len; ++t) {
-                        krows[t] = c.k_row(layer, t).data();
-                        vrows[t] = c.v_row(layer, t).data();
-                    }
+                    kv_unpack_rows(fmt, kpacked, d,
+                                   {kgat.data(), kv_len * d});
+                    kv_unpack_rows(fmt, vpacked, d,
+                                   {vgat.data(), kv_len * d});
+                }
+                for (std::size_t t = 0; t < kv_len; ++t) {
+                    krows[t] = fmt.quantized()
+                                   ? kgat.row(t).data()
+                                   : reinterpret_cast<const float *>(
+                                         kpacked[t]);
+                    vrows[t] = fmt.quantized()
+                                   ? vgat.row(t).data()
+                                   : reinterpret_cast<const float *>(
+                                         vpacked[t]);
                 }
             } else {
                 for (std::size_t t = 0; t < kv_len; ++t) {

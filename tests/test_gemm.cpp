@@ -109,7 +109,8 @@ TEST(Gemm, PanelMatmulMatchesDotF32BitForBit)
                     const Matrix a = special_matrix(m, k, 2000 + k + m);
                     const Matrix want = dot_f32_gemm(a, w);
                     Matrix got(m, n);
-                    variant.run(a.data(), m, panels, got.data());
+                    variant.run(a.data(), m, panels, 0, panels.panels(),
+                                got.data());
                     EXPECT_TRUE(same_bits(got, want))
                         << simd::isa_name(variant.isa) << " m=" << m
                         << " n=" << n << " k=" << k;
@@ -189,8 +190,13 @@ TEST(Gemm, PackedW4PanelsMatchDequantizedBitForBit)
                     const Matrix want = dot_f32_gemm(a, dq);
                     Matrix got(m, n);
                     Matrix got_float(m, n);
-                    variant.run(a.data(), m, packed, got.data());
-                    variant.run(a.data(), m, floats, got_float.data());
+                    // Panel 0, then the rest: each range writes only
+                    // its own columns.
+                    variant.run(a.data(), m, packed, 0, 1, got.data());
+                    variant.run(a.data(), m, packed, 1, packed.panels(),
+                                got.data());
+                    variant.run(a.data(), m, floats, 0, floats.panels(),
+                                got_float.data());
                     EXPECT_TRUE(same_bits(got, want))
                         << simd::isa_name(variant.isa) << " m=" << m
                         << " n=" << n << " k=" << k;
@@ -204,11 +210,19 @@ TEST(Gemm, PackedW4PanelsMatchDequantizedBitForBit)
     std::cout << "[ INFO     ] W4 panel GeMM variants run: " << ran << "\n";
     ASSERT_FALSE(ran.empty());
 
-    // The dispatched, threaded entry point gives the same bits.
-    const QuantizedWeight w = w4_weight(33, 130, 5);
-    const Matrix a = special_matrix(33, 130, 6);
-    EXPECT_TRUE(same_bits(matmul_wt(a, WeightPanels(w), 4),
-                          dot_f32_gemm(a, w.dequantize())));
+    // The dispatched, threaded entry point gives the same bits at every
+    // thread count: its chunks are panel ranges, so one- and few-row
+    // taps split too.
+    for (std::size_t m : {1u, 5u, 33u}) {
+        const QuantizedWeight w = w4_weight(70, 130, 5);
+        const Matrix a = special_matrix(m, 130, 6);
+        const Matrix want = dot_f32_gemm(a, w.dequantize());
+        const WeightPanels packed(w);
+        for (std::size_t threads : {1u, 2u, 3u, 4u}) {
+            EXPECT_TRUE(same_bits(matmul_wt(a, packed, threads), want))
+                << "m=" << m << " threads=" << threads;
+        }
+    }
 
     // Wider weights do not fit a nibble; values outside the signed
     // range are rejected when assembled.

@@ -10,12 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <iostream>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,6 +27,7 @@
 #include "format/bfp.h"
 #include "format/kv_format.h"
 #include "llm/kv_pages.h"
+#include "llm/ops.h"
 #include "llm/transformer.h"
 
 namespace anda {
@@ -186,14 +191,13 @@ TEST(KvFormat, FastPathMatchesBitSerialOracle)
     const std::size_t lengths[] = {1, 2, 31, 32, 33, 63, 64, 65, 100,
                                    101, 128, 200};
     std::string ran;
-    for (const auto &variant : detail::kv_pack_row_variants()) {
+    for (const auto &variant : detail::kv_unpack_rows_variants()) {
         if (simd::isa_supported(variant.isa)) {
             ran += std::string(ran.empty() ? "" : ", ") +
                    simd::isa_name(variant.isa);
         }
     }
-    std::cout << "[ INFO     ] KV pack/unpack variants run: " << ran
-              << "\n";
+    std::cout << "[ INFO     ] KV unpack variants run: " << ran << "\n";
     ASSERT_FALSE(ran.empty());
     for (const KvFormat &fmt : fmts) {
         for (const std::size_t n : lengths) {
@@ -221,12 +225,13 @@ TEST(KvFormat, FastPathMatchesBitSerialOracle)
                         << " n=" << n << " edges=" << edges;
                 }
                 for (const auto &unpack :
-                     detail::kv_unpack_row_variants()) {
+                     detail::kv_unpack_rows_variants()) {
                     if (!simd::isa_supported(unpack.isa)) {
                         continue;
                     }
                     std::vector<float> got(n, 7.0f);
-                    unpack.run(fmt, serial, got);
+                    const std::byte *const packed = serial.data();
+                    unpack.run(fmt, {&packed, 1}, n, got);
                     ASSERT_EQ(std::memcmp(got.data(), want.data(), 4 * n),
                               0)
                         << simd::isa_name(unpack.isa) << " "
@@ -249,6 +254,71 @@ TEST(KvFormat, FastPathMatchesBitSerialOracle)
     kv_unpack_row(fmt, fast, got);
     kv_unpack_row_serial(fmt, fast, want);
     EXPECT_EQ(std::memcmp(got.data(), want.data(), 4 * 128), 0);
+}
+
+TEST(KvFormat, UnpackRowsMatchesBitSerialOracle)
+{
+    // Every mantissa width in both rounding modes (the bit-transpose
+    // path builds a high byte above m = 8), kBfp, and rows that sit in
+    // separate buffers, as rows of one key block do across pages.
+    SplitMix64 rng(23);
+    std::vector<KvFormat> fmts;
+    for (const bool rn : {false, true}) {
+        for (int m = 1; m <= kAndaMaxMantissa; ++m) {
+            fmts.push_back(KvFormat::anda(m, rn));
+        }
+        fmts.push_back(KvFormat::bfp(64, 7, rn));
+        fmts.push_back(KvFormat::bfp(24, 12, rn));
+    }
+    fmts.push_back(KvFormat::fp32());
+    std::string ran;
+    for (const auto &variant : detail::kv_unpack_rows_variants()) {
+        if (simd::isa_supported(variant.isa)) {
+            ran += std::string(ran.empty() ? "" : ", ") +
+                   simd::isa_name(variant.isa);
+        }
+    }
+    std::cout << "[ INFO     ] KV unpack-rows variants run: " << ran << "\n";
+    constexpr std::size_t kRows = 5;
+    for (const KvFormat &fmt : fmts) {
+        for (const std::size_t n : {1u, 16u, 63u, 64u, 65u, 128u, 200u}) {
+            const std::size_t bytes = kv_row_bytes(fmt, n);
+            std::vector<std::vector<std::byte>> packed;
+            std::vector<const std::byte *> rows;
+            std::vector<float> want(kRows * n);
+            for (std::size_t r = 0; r < kRows; ++r) {
+                const std::vector<float> row =
+                    r % 2 ? edge_row(rng, n) : random_row(rng, n);
+                packed.emplace_back(bytes);
+                kv_pack_row_serial(fmt, row, packed.back());
+                kv_unpack_row_serial(
+                    fmt, packed.back(),
+                    std::span(want).subspan(r * n, n));
+            }
+            for (const auto &buf : packed) {
+                rows.push_back(buf.data());
+            }
+            std::vector<float> got(kRows * n, 7.0f);
+            kv_unpack_rows(fmt, rows, n, got);
+            EXPECT_EQ(std::memcmp(got.data(), want.data(), 4 * got.size()),
+                      0)
+                << "dispatched " << fmt.name() << " n=" << n;
+            if (!fmt.quantized()) {
+                continue;
+            }
+            for (const auto &variant : detail::kv_unpack_rows_variants()) {
+                if (!simd::isa_supported(variant.isa)) {
+                    continue;
+                }
+                std::fill(got.begin(), got.end(), 7.0f);
+                variant.run(fmt, rows, n, got);
+                ASSERT_EQ(
+                    std::memcmp(got.data(), want.data(), 4 * got.size()), 0)
+                    << simd::isa_name(variant.isa) << " " << fmt.name()
+                    << " n=" << n;
+            }
+        }
+    }
 }
 
 TEST(KvFormat, RoundtripIsIdempotent)
@@ -338,6 +408,149 @@ TEST(KvFormat, WiderMantissaIsMoreAccurate)
     }
 }
 
+/// Gaussian attention inputs with signed zeros and FP32 subnormals
+/// mixed in.
+std::vector<float>
+attention_row(SplitMix64 &rng, std::size_t n)
+{
+    std::vector<float> row(n);
+    for (float &x : row) {
+        const double u = rng.uniform();
+        if (u < 0.03) {
+            x = -0.0f;
+        } else if (u < 0.06) {
+            x = 0.0f;
+        } else if (u < 0.08) {
+            x = static_cast<float>(rng.normal(0.0, 1.0)) * 1e-39f;
+        } else {
+            x = static_cast<float>(rng.normal(0.0, 1.5));
+        }
+    }
+    return row;
+}
+
+/// attend_decode of every variant the host supports against the path
+/// it replaced: every K/V row unpacked by the bit-serial oracle, then
+/// causal_attention_head per head with the query at the last key.
+void
+check_attend_decode(const KvSeq &cache, std::span<const float> q,
+                    std::size_t head_dim, const std::string &what)
+{
+    const std::size_t d = q.size();
+    const std::size_t kv_len = cache.length();
+    const KvFormat &fmt = cache.format();
+    Matrix k(kv_len, d);
+    Matrix v(kv_len, d);
+    std::vector<const std::byte *> kp(kv_len);
+    std::vector<const std::byte *> vp(kv_len);
+    std::vector<const float *> kr(kv_len);
+    std::vector<const float *> vr(kv_len);
+    for (std::size_t t = 0; t < kv_len; ++t) {
+        kp[t] = cache.packed_k_row(0, t).data();
+        vp[t] = cache.packed_v_row(0, t).data();
+        kv_unpack_row_serial(fmt, cache.packed_k_row(0, t), k.row(t));
+        kv_unpack_row_serial(fmt, cache.packed_v_row(0, t), v.row(t));
+        kr[t] = k.row(t).data();
+        vr[t] = v.row(t).data();
+    }
+    std::vector<float> want(d);
+    const float *const qrow[1] = {q.data()};
+    float *const orow[1] = {want.data()};
+    for (std::size_t h = 0; h < d / head_dim; ++h) {
+        causal_attention_head(qrow, kr, vr, h * head_dim, head_dim,
+                              kv_len - 1, orow);
+    }
+    for (const auto &variant : detail::attend_decode_variants()) {
+        if (!simd::isa_supported(variant.isa)) {
+            continue;
+        }
+        std::vector<float> got(d, 7.0f);
+        variant.run(q, fmt, kp, vp, head_dim, got);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), 4 * d), 0)
+            << simd::isa_name(variant.isa) << " " << what;
+    }
+    std::vector<float> got(d, 7.0f);
+    attend_decode(q, fmt, kp, vp, head_dim, got);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), 4 * d), 0)
+        << "dispatched " << what;
+}
+
+TEST(AttendDecode, MatchesGatherAndPerHeadAttentionBitForBit)
+{
+    std::string ran;
+    for (const auto &variant : detail::attend_decode_variants()) {
+        if (simd::isa_supported(variant.isa)) {
+            ran += std::string(ran.empty() ? "" : ", ") +
+                   simd::isa_name(variant.isa);
+        }
+    }
+    std::cout << "[ INFO     ] attend_decode variants run: " << ran << "\n";
+    ASSERT_FALSE(ran.empty());
+    std::vector<KvFormat> fmts = {KvFormat::fp32(), KvFormat::bfp(64, 7),
+                                  KvFormat::bfp(32, 5, true)};
+    for (const bool rn : {false, true}) {
+        for (int m = 1; m <= kAndaMaxMantissa; ++m) {
+            fmts.push_back(KvFormat::anda(m, rn));
+        }
+    }
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {1, 8}, {4, 32}, {8, 48}, {4, 8}, {8, 32},
+        {1, 48}, {8, 8}, {1, 32}, {4, 48}};
+    // Page size 0 is the slab layout; 24 makes key blocks straddle
+    // pages.
+    const std::size_t layouts[] = {0, 16, 32, 24};
+    SplitMix64 rng(26);
+    std::size_t shape = 0;
+    for (std::size_t fi = 0; fi < fmts.size(); ++fi) {
+        const KvFormat &fmt = fmts[fi];
+        for (std::size_t li = 0; li < std::size(layouts); ++li) {
+            const std::size_t page = layouts[li];
+            for (const std::size_t kv_len : {1u, 15u, 16u, 17u, 1000u}) {
+                // The long context runs once per format, on layouts in
+                // turn.
+                if (kv_len == 1000 && (fi + li) % std::size(layouts) != 0) {
+                    continue;
+                }
+                // (heads, head_dim) pairs in turn, so across the formats
+                // every length meets every pair.
+                const auto [heads, hd] = shapes[shape++ % std::size(shapes)];
+                const std::size_t d = heads * hd;
+                std::unique_ptr<KvPagePool> pool;
+                std::unique_ptr<KvSeq> cache;
+                std::unique_ptr<PagedKvCache> other;
+                if (page == 0) {
+                    cache = std::make_unique<KvCache>(1, d, kv_len, fmt);
+                } else {
+                    const std::size_t pages = 2 * (kv_len / page + 1);
+                    pool = std::make_unique<KvPagePool>(
+                        1, d, 2 * kv_len, page, pages, true, fmt);
+                    auto paged = std::make_unique<PagedKvCache>(*pool);
+                    // A second sequence takes every other page, so a
+                    // sequence's pages are not adjacent.
+                    other = std::make_unique<PagedKvCache>(*pool);
+                    for (std::size_t r = page; r <= kv_len; r += page) {
+                        paged->reserve(r);
+                        other->reserve(r);
+                    }
+                    cache = std::move(paged);
+                }
+                cache->reserve(kv_len);
+                for (std::size_t t = 0; t < kv_len; ++t) {
+                    cache->store_k(0, t, attention_row(rng, d));
+                    cache->store_v(0, t, attention_row(rng, d));
+                }
+                cache->advance(kv_len);
+                check_attend_decode(
+                    *cache, attention_row(rng, d), hd,
+                    fmt.name() + " page=" + std::to_string(page) +
+                        " kv_len=" + std::to_string(kv_len) +
+                        " heads=" + std::to_string(heads) +
+                        " head_dim=" + std::to_string(hd));
+            }
+        }
+    }
+}
+
 TEST(KvCacheQuantized, StoreLoadRoundTripsAndGuards)
 {
     SplitMix64 rng(77);
@@ -372,6 +585,40 @@ TEST(KvCacheQuantized, StoreLoadRoundTripsAndGuards)
     // float row views of a quantized cache are a contract violation.
     EXPECT_THROW(cache.k_row(0, 0), CheckError);
     EXPECT_THROW(cache.v_row(0, 0), CheckError);
+}
+
+TEST(KvCache, GrowthIntoMappedBlocksKeepsRows)
+{
+    // d_model = 256 FP32 rows: a block of 128 rows is 128 KiB, from
+    // which size a KvRows block is a memory mapping of its own, so the
+    // growth to 512 rows moves the rows from std::allocator storage
+    // into a mapping and then between mappings.
+    SplitMix64 rng(78);
+    const std::size_t d = 256;
+    KvCache cache(2, d, 512, KvFormat::fp32());
+    std::vector<std::vector<float>> krows;
+    std::vector<std::vector<float>> vrows;
+    for (std::size_t r = 0; r < 300; ++r) {
+        krows.push_back(random_row(rng, d));
+        vrows.push_back(random_row(rng, d));
+        cache.reserve(r + 1);
+        cache.advance(1);
+        for (std::size_t l = 0; l < 2; ++l) {
+            cache.store_k(l, r, krows[r]);
+            cache.store_v(l, r, vrows[r]);
+        }
+    }
+    EXPECT_EQ(cache.capacity(), 512U);
+    for (std::size_t r = 0; r < krows.size(); ++r) {
+        for (std::size_t l = 0; l < 2; ++l) {
+            ASSERT_EQ(
+                std::memcmp(cache.k_row(l, r).data(), krows[r].data(), 4 * d),
+                0);
+            ASSERT_EQ(
+                std::memcmp(cache.v_row(l, r).data(), vrows[r].data(), 4 * d),
+                0);
+        }
+    }
 }
 
 /// True when two stored rows hold the identical bytes.

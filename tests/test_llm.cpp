@@ -207,6 +207,152 @@ TEST(Ops, VectorSoftmaxMatchesSoftmaxInplaceBitForBit)
     }
 }
 
+// The double sums of a softmax row's exps in index order, in reverse,
+// and pairwise (halves summed recursively).
+double
+sum_ascending(const std::vector<float> &e)
+{
+    double s = 0.0;
+    for (const float v : e) {
+        s += v;
+    }
+    return s;
+}
+
+double
+sum_descending(const std::vector<float> &e)
+{
+    double s = 0.0;
+    for (std::size_t j = e.size(); j-- > 0;) {
+        s += e[j];
+    }
+    return s;
+}
+
+double
+sum_pairwise(const float *e, std::size_t n)
+{
+    return n == 1 ? e[0]
+                  : sum_pairwise(e, n / 2) + sum_pairwise(e + n / 2, n - n / 2);
+}
+
+// A softmax row whose (float)(1.0 / sum) depends on the order of the
+// double sum: x[0] = 0 (exp 1, the maximum), x[1] with an exp of about
+// (2k + 1) * 2^-25, then 1024 equal scores whose exps lie below half
+// an ulp of the running sum. Summed in index order each of those is
+// rounded away; summed first (reversed or pairwise) they add about
+// 2^-43. x[1] is the float whose exp puts 1 / (1 - (2k + 1) * 2^-25),
+// the sum at which 1 / sum rounds across a float midpoint, between the
+// two, so the orders give different softmax outputs.
+std::vector<float>
+order_sensitive_row(int k)
+{
+    constexpr std::size_t kTinies = 1024;
+    const float tiny = -36.9f;
+    const float t = std::exp(tiny);
+    EXPECT_LT(t, 0x1p-53f);
+    const double midpoint = 1.0 - (2 * k + 1) * 0x1p-25;
+    const double target = 1.0 / midpoint - 1.0 - kTinies * 0x1p-54;
+    std::vector<float> x(2 + kTinies, tiny);
+    x[0] = 0.0f;
+    const float start = static_cast<float>(std::log(target));
+    for (int step = 0; step < 256; ++step) {
+        // start, start + 1 ulp, start - 1 ulp, start + 2 ulp, ...
+        float xm = start;
+        for (int i = 0; i < (step + 1) / 2; ++i) {
+            xm = std::nextafter(xm, step % 2 ? 0.0f : -100.0f);
+        }
+        x[1] = xm;
+        std::vector<float> e(x.size());
+        for (std::size_t j = 0; j < x.size(); ++j) {
+            e[j] = std::exp(x[j]);
+        }
+        const float asc = static_cast<float>(1.0 / sum_ascending(e));
+        const float desc = static_cast<float>(1.0 / sum_descending(e));
+        const float pair =
+            static_cast<float>(1.0 / sum_pairwise(e.data(), e.size()));
+        if (asc != desc && asc != pair) {
+            return x;
+        }
+    }
+    ADD_FAILURE() << "no order-sensitive row for k=" << k;
+    return x;
+}
+
+TEST(Ops, SoftmaxSumsInDoubleInIndexOrder)
+{
+    const auto variants =
+        supported_variants(detail::softmax_variants(), "softmax");
+    ASSERT_FALSE(variants.empty());
+    constexpr std::size_t kHeads = 4;
+    std::vector<std::vector<float>> rows;
+    for (int k = 0; k < static_cast<int>(kHeads); ++k) {
+        rows.push_back(order_sensitive_row(k));
+        std::vector<float> want = rows.back();
+        softmax_inplace(want);
+        std::vector<float> e(want.size());
+        for (std::size_t j = 0; j < e.size(); ++j) {
+            e[j] = std::exp(rows.back()[j]);
+        }
+        // The oracle's first output is 1 / sum in index order.
+        ASSERT_EQ(want[0], static_cast<float>(1.0 / sum_ascending(e)));
+        for (const auto &variant : variants) {
+            std::vector<float> got = rows.back();
+            variant.run(got);
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  4 * want.size()),
+                      0)
+                << simd::isa_name(variant.isa) << " k=" << k;
+        }
+    }
+
+    // attend_decode runs the rows as the scores of four interleaved
+    // heads: head h's query is 1 on its first channel and 0 elsewhere,
+    // key j carries 4 * rows[h][j] there (times the scale 1/4 of a
+    // 16-wide head gives the score exactly), and only key 0's value
+    // row is nonzero (all ones), so every output of head h is the
+    // softmax's first probability, 1 / sum.
+    constexpr std::size_t kHeadDim = 16;
+    constexpr std::size_t kWidth = kHeads * kHeadDim;
+    const std::size_t kv_len = rows[0].size();
+    SplitMix64 rng(31);
+    Matrix k(kv_len, kWidth);
+    Matrix v(kv_len, kWidth);
+    std::vector<float> q(kWidth, 0.0f);
+    for (std::size_t h = 0; h < kHeads; ++h) {
+        q[h * kHeadDim] = 1.0f;
+    }
+    for (std::size_t j = 0; j < kv_len; ++j) {
+        for (std::size_t c = 0; c < kWidth; ++c) {
+            k(j, c) = c % kHeadDim == 0
+                          ? 4.0f * rows[c / kHeadDim][j]
+                          : static_cast<float>(rng.normal(0.0, 1.0));
+            v(j, c) = j == 0 ? 1.0f : 0.0f;
+        }
+    }
+    std::vector<const std::byte *> kp(kv_len);
+    std::vector<const std::byte *> vp(kv_len);
+    for (std::size_t j = 0; j < kv_len; ++j) {
+        kp[j] = reinterpret_cast<const std::byte *>(k.row(j).data());
+        vp[j] = reinterpret_cast<const std::byte *>(v.row(j).data());
+    }
+    std::vector<float> want(kWidth);
+    for (std::size_t h = 0; h < kHeads; ++h) {
+        std::vector<float> p = rows[h];
+        softmax_inplace(p);
+        std::fill_n(want.begin() + h * kHeadDim, kHeadDim, p[0]);
+    }
+    for (const auto &variant : detail::attend_decode_variants()) {
+        if (!simd::isa_supported(variant.isa)) {
+            continue;
+        }
+        std::vector<float> got(kWidth);
+        variant.run(q, KvFormat::fp32(), kp, vp, kHeadDim, got);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), 4 * kWidth), 0)
+            << simd::isa_name(variant.isa);
+    }
+}
+
 TEST(Ops, VectorExpfMatchesLibmExpf)
 {
 #if !(defined(__GLIBC__) && defined(__x86_64__))
