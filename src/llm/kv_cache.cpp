@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <utility>
 
 #include <sys/mman.h>
 
@@ -62,12 +63,25 @@ KvRows::KvRows(std::size_t n_layers, std::size_t d_model, KvFormat fmt,
 void
 KvRows::grow(std::size_t slots)
 {
-    const std::size_t words =
-        (slots * row_bytes_ + sizeof(float) - 1) / sizeof(float);
+    if (slots == slots_) {
+        return;
+    }
+    const std::size_t kept = std::min(slots, slots_) * row_bytes_;
+    const std::size_t bytes = (slots * row_bytes_ + sizeof(float) - 1) /
+                              sizeof(float) * sizeof(float);
     for (auto &block : blocks_) {
-        // reserve() first: resize() alone may over-allocate.
-        block.reserve(words);
-        block.resize(words);
+        std::unique_ptr<float[], detail::KvBlockFree> grown(
+            static_cast<float *>(detail::kv_block_allocate(bytes)),
+            {bytes});
+        auto *dst = reinterpret_cast<std::byte *>(grown.get());
+        std::copy_n(reinterpret_cast<const std::byte *>(block.get()),
+                    kept, dst);
+        if (bytes < kMapBytes) {
+            // A fresh mapping is zero already: filling it would make
+            // all of it resident.
+            std::fill(dst + kept, dst + bytes, std::byte{0});
+        }
+        block = std::move(grown);
     }
     slots_ = slots;
 }

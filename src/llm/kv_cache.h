@@ -19,6 +19,7 @@
 /// Transformer::decode_step.
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,35 +37,17 @@ namespace detail {
 /// blocks at its start and frees them at its end. In the heap, whether
 /// they fit back into the space the previous run freed would depend on
 /// where small allocations had landed since, and the resident peak of
-/// identical runs would differ by most of a block.
+/// identical runs would differ by most of a block. A fresh mapping
+/// reads as zero, and the OS commits each of its 4 KiB pages at the
+/// first write, so a mapped block is resident only where rows were
+/// stored.
 void *kv_block_allocate(std::size_t bytes);
 void kv_block_deallocate(void *p, std::size_t bytes);
 
-/// std::vector allocator over kv_block_allocate.
-template <class T>
-struct KvBlockAllocator {
-    using value_type = T;
-
-    KvBlockAllocator() = default;
-    template <class U>
-    KvBlockAllocator(const KvBlockAllocator<U> &)
-    {
-    }
-
-    T *allocate(std::size_t n)
-    {
-        return static_cast<T *>(kv_block_allocate(n * sizeof(T)));
-    }
-    void deallocate(T *p, std::size_t n)
-    {
-        kv_block_deallocate(p, n * sizeof(T));
-    }
-
-    template <class U>
-    bool operator==(const KvBlockAllocator<U> &) const
-    {
-        return true;
-    }
+/// std::unique_ptr deleter of a kv_block_allocate block.
+struct KvBlockFree {
+    std::size_t bytes = 0;
+    void operator()(float *p) const { kv_block_deallocate(p, bytes); }
 };
 
 }  // namespace detail
@@ -74,7 +57,10 @@ struct KvBlockAllocator {
 /// kv_row_bytes(format, d_model) bytes each, unpadded. Blocks are
 /// float words, so an FP32 row is its own float image (attended in
 /// place, no copy) and every packed row aliases its block legally as
-/// bytes.
+/// bytes. A slot never stored reads as zero bytes. In a mapped block
+/// it is not resident either: a pool of any budget is resident only
+/// in the pages its stored rows fill (see KvPageAllocator for why
+/// that is its peak of used pages).
 class KvRows {
   public:
     static constexpr std::size_t kK = 0;
@@ -89,8 +75,10 @@ class KvRows {
     std::size_t row_bytes() const { return row_bytes_; }
     std::size_t slots() const { return slots_; }
 
-    /// Grows every block to `slots` rows, allocating exactly that and
-    /// keeping the rows already stored (rows are fixed-width).
+    /// Grows every block to `slots` rows, keeping the rows already
+    /// stored (rows are fixed-width). The new slots read as zero: a
+    /// heap block zeroes them, a mapped one is zero until written and
+    /// commits no memory for them.
     void grow(std::size_t slots);
 
     /// Packed bytes of one row of `tensor` (kK or kV). Throws
@@ -101,7 +89,7 @@ class KvRows {
     {
         ANDA_CHECK_LT(slot, slots_, "KvRows: slot outside the store");
         std::byte *block = reinterpret_cast<std::byte *>(
-            blocks_[2 * layer + tensor].data());
+            blocks_[2 * layer + tensor].get());
         return {block + slot * row_bytes_, row_bytes_};
     }
 
@@ -111,8 +99,7 @@ class KvRows {
     std::size_t row_bytes_ = 0;
     std::size_t slots_ = 0;
     /// Block of (tensor, layer) at [2 * layer + tensor].
-    std::vector<std::vector<float, detail::KvBlockAllocator<float>>>
-        blocks_;
+    std::vector<std::unique_ptr<float[], detail::KvBlockFree>> blocks_;
 };
 
 /// One cached sequence: committed K/V rows across all layers, with

@@ -10,7 +10,9 @@ KvPageAllocator::KvPageAllocator(std::size_t n_pages)
     : refcount_(n_pages, 0)
 {
     free_.reserve(n_pages);
-    // Popped from the back, so page 0 is handed out first.
+    // Popped from the back, so page 0 is handed out first, and
+    // release() pushes to the back: LIFO keeps the pages ever used a
+    // prefix 0..peak-1 (see the class comment).
     for (std::size_t p = n_pages; p > 0; --p) {
         free_.push_back(static_cast<PageId>(p - 1));
     }
@@ -249,13 +251,14 @@ PagedKvCache::swap_out()
 {
     std::vector<std::byte> data;
     if (pool_->with_storage()) {
-        data.resize(2 * n_layers() * length_ * pool_->row_bytes());
-        std::byte *dst = data.data();
+        // reserve + insert writes each byte once; resize would zero
+        // the whole buffer first.
+        data.reserve(2 * n_layers() * length_ * pool_->row_bytes());
         for (std::size_t l = 0; l < n_layers(); ++l) {
             for (std::size_t r = 0; r < length_; ++r) {
                 for (const std::size_t t : {KvRows::kK, KvRows::kV}) {
                     const auto src = bytes(t, l, r);
-                    dst = std::copy(src.begin(), src.end(), dst);
+                    data.insert(data.end(), src.begin(), src.end());
                 }
             }
         }

@@ -48,6 +48,13 @@ using PageId = std::uint32_t;
 /// free page with refcount 1; retain()/release() adjust sharing;
 /// a page returns to the free list when its count drops to zero.
 /// free_pages() + used_pages() == total_pages() always.
+///
+/// The free list is a stack: pages go out from page 0 up, and a
+/// released page is the next one out. So a never-used page is handed
+/// out only while every page used before is in use, and every page
+/// ever handed out is below the peak of used_pages(). The pool's rows
+/// are resident only in pages that were stored to (llm/kv_cache.h),
+/// so its resident set is its peak use, not its budget.
 class KvPageAllocator {
   public:
     explicit KvPageAllocator(std::size_t n_pages);

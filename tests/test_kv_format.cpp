@@ -5,15 +5,18 @@
 // bit-serial oracle; bit-identity of the truncating kBfp path with the
 // activation-side bfp_roundtrip; and the cache-level invariants —
 // quantized KvCache / PagedKvCache store-load round-trips, packed
-// swap, chunk-invariant decode, and FP32 cached_sequence_nll
-// bit-identity with sequence_nll.
+// swap, chunk-invariant decode, FP32 cached_sequence_nll
+// bit-identity with sequence_nll, zero never-stored slots, and a
+// mapped pool resident only where rows were stored.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -21,6 +24,9 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "common/simd.h"
@@ -592,16 +598,35 @@ TEST(KvCache, GrowthIntoMappedBlocksKeepsRows)
     // d_model = 256 FP32 rows: a block of 128 rows is 128 KiB, from
     // which size a KvRows block is a memory mapping of its own, so the
     // growth to 512 rows moves the rows from std::allocator storage
-    // into a mapping and then between mappings.
+    // into a mapping and then between mappings. After every growth
+    // the slots never stored read as zero bytes, whether the heap
+    // block zeroed them or the fresh mapping came zeroed.
     SplitMix64 rng(78);
     const std::size_t d = 256;
     KvCache cache(2, d, 512, KvFormat::fp32());
     std::vector<std::vector<float>> krows;
     std::vector<std::vector<float>> vrows;
+    std::size_t growths = 0;
+    const auto zero = [](std::span<const std::byte> row) {
+        return std::all_of(row.begin(), row.end(),
+                           [](std::byte b) { return b == std::byte{}; });
+    };
     for (std::size_t r = 0; r < 300; ++r) {
         krows.push_back(random_row(rng, d));
         vrows.push_back(random_row(rng, d));
+        const std::size_t before = cache.capacity();
         cache.reserve(r + 1);
+        if (cache.capacity() != before) {
+            ++growths;
+            for (std::size_t s = r; s < cache.capacity(); ++s) {
+                for (std::size_t l = 0; l < 2; ++l) {
+                    ASSERT_TRUE(zero(cache.packed_k_row(l, s)) &&
+                                zero(cache.packed_v_row(l, s)))
+                        << "slot " << s << " at capacity "
+                        << cache.capacity();
+                }
+            }
+        }
         cache.advance(1);
         for (std::size_t l = 0; l < 2; ++l) {
             cache.store_k(l, r, krows[r]);
@@ -609,6 +634,7 @@ TEST(KvCache, GrowthIntoMappedBlocksKeepsRows)
         }
     }
     EXPECT_EQ(cache.capacity(), 512U);
+    EXPECT_EQ(growths, 6U);  // 16, 32, 64 (heap), 128, 256, 512 (mapped)
     for (std::size_t r = 0; r < krows.size(); ++r) {
         for (std::size_t l = 0; l < 2; ++l) {
             ASSERT_EQ(
@@ -617,6 +643,60 @@ TEST(KvCache, GrowthIntoMappedBlocksKeepsRows)
             ASSERT_EQ(
                 std::memcmp(cache.v_row(l, r).data(), vrows[r].data(), 4 * d),
                 0);
+        }
+    }
+}
+
+TEST(KvCache, MappedPoolIsResidentOnlyWhereRowsAreStored)
+{
+    // Under THP "always" the kernel may back a merged run of mappings
+    // with 2 MiB pages on first touch; residency is then coarser than
+    // the rows stored, by the kernel's choice.
+    std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+    std::string thp_mode;
+    std::getline(thp, thp_mode);
+    if (thp_mode.find("[always]") != std::string::npos) {
+        GTEST_SKIP() << "transparent huge pages are always on";
+    }
+    // d_model = 128 FP32 rows of 512 bytes and pages of 16 rows: a
+    // pool page is 8 KiB of each block, and 64 pages make 512 KiB
+    // blocks, which are mappings. 32 rows fill pool pages 0 and 1.
+    const std::size_t d = 128;
+    const std::size_t page_rows = 16;
+    const std::size_t rows = 2 * page_rows;
+    KvPagePool pool(2, d, 1024, page_rows, 64);
+    PagedKvCache seq(pool);
+    SplitMix64 rng(79);
+    seq.reserve(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t l = 0; l < 2; ++l) {
+            seq.store_k(l, r, random_row(rng, d));
+            seq.store_v(l, r, random_row(rng, d));
+        }
+    }
+    seq.advance(rows);
+
+    const auto os_page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    KvRows &kv = pool.rows();
+    const std::size_t block_bytes = kv.slots() * kv.row_bytes();
+    const std::size_t stored_pages =
+        (rows * kv.row_bytes() + os_page - 1) / os_page;
+    const std::size_t os_pages = (block_bytes + os_page - 1) / os_page;
+    std::vector<unsigned char> resident(os_pages);
+    for (std::size_t l = 0; l < 2; ++l) {
+        for (const std::size_t t : {KvRows::kK, KvRows::kV}) {
+            std::byte *block = kv.row(t, l, 0).data();
+            const auto addr = reinterpret_cast<std::uintptr_t>(block);
+            ASSERT_EQ(addr % os_page, 0U);
+            ASSERT_EQ(mincore(block, block_bytes, resident.data()), 0);
+            std::size_t n = 0;
+            for (const unsigned char c : resident) {
+                n += c & 1U;
+            }
+            EXPECT_TRUE(resident[0] & 1) << "a stored page reads absent";
+            // The pages holding the rows, plus one at each edge.
+            EXPECT_LE(n, stored_pages + 2)
+                << n << " of " << resident.size() << " pages resident";
         }
     }
 }

@@ -1,11 +1,11 @@
 // Property and stress tests of the paged KV subsystem
-// (llm/kv_pages.h): the refcounted page allocator, exact free-page
-// accounting, copy-on-extend of shared pages, swap round-trips, and a
-// seeded randomized workload that drives thousands of alloc / extend /
-// adopt / swap / release operations against a shadow model of every
-// sequence's expected contents. Every invariant here is exact — no
-// tolerances — and the suite must run clean under ASan/UBSan (the
-// ANDA_SANITIZE CI lane).
+// (llm/kv_pages.h): the refcounted page allocator and its LIFO page
+// order, exact free-page accounting, copy-on-extend of shared pages,
+// swap round-trips, and a seeded randomized workload that drives
+// thousands of alloc / extend / adopt / swap / release operations
+// against a shadow model of every sequence's expected contents.
+// Every invariant here is exact — no tolerances — and the suite must
+// run clean under ASan/UBSan (the ANDA_SANITIZE CI lane).
 
 #include <gtest/gtest.h>
 
@@ -310,6 +310,84 @@ TEST(PagedKvCache, AccountingOnlyPoolMirrorsStoragePool)
     EXPECT_THROW(b.load_v(0, 16, out), CheckError);
     EXPECT_THROW(b.k_row(0, 0), CheckError);
     EXPECT_THROW(b.packed_v_row(0, 0), CheckError);
+}
+
+TEST(KvPageAllocator, HandsOutOnlyPagesBelowThePeakOfUse)
+{
+    // A pool's rows are resident only in the pages stored to, so its
+    // resident set is its peak use only if a page is never handed out
+    // while a page used before sits free (LIFO from page 0). Seeded
+    // random workloads on a pool four times their peak: after every
+    // operation, no page at or above the peak of used pages is live.
+    constexpr std::size_t kPageSize = 4;
+    constexpr std::size_t kPages = 256;
+    constexpr std::size_t kMaxSeq = 32;
+    constexpr std::size_t kMaxSeqs = 8;
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+        SCOPED_TRACE(seed);
+        KvPagePool pool(1, 4, kMaxSeq, kPageSize, kPages);
+        const KvPageAllocator &alloc = pool.allocator();
+        SplitMix64 rng(derive_seed(seed, 0x11f0));
+        std::vector<std::unique_ptr<PagedKvCache>> live;
+        std::vector<std::pair<std::vector<std::byte>, std::size_t>> out;
+        std::uint64_t stream = 1;
+        std::size_t peak = 0;
+        const auto any = [&]() -> PagedKvCache & {
+            return *live[rng.uniform_index(live.size())];
+        };
+        for (int op = 0; op < 2000; ++op) {
+            const std::uint64_t pick = rng.uniform_index(100);
+            if (pick < 25 && live.size() < kMaxSeqs) {
+                // A new sequence, half the time adopting a prefix; its
+                // first extension copies a shared tail page on extend.
+                auto seq = std::make_unique<PagedKvCache>(pool);
+                if (!live.empty() && rng.uniform_index(2) == 0) {
+                    const PagedKvCache &donor = any();
+                    if (donor.length() > 0) {
+                        seq->adopt_prefix(
+                            donor, 1 + rng.uniform_index(donor.length()));
+                    }
+                }
+                live.push_back(std::move(seq));
+            } else if (pick < 60 && !live.empty()) {
+                PagedKvCache &seq = any();
+                const std::size_t to = std::min(
+                    kMaxSeq, seq.length() + 1 + rng.uniform_index(8));
+                if (seq.new_pages_needed(to) <= alloc.free_pages()) {
+                    write_rows(seq, stream++, seq.length(), to);
+                }
+            } else if (pick < 72 && !live.empty()) {
+                PagedKvCache &seq = any();
+                const std::size_t rows = seq.length();
+                out.emplace_back(seq.swap_out(), rows);
+            } else if (pick < 84 && !out.empty() &&
+                       live.size() < kMaxSeqs) {
+                const std::size_t rows = out.back().second;
+                if (PagedKvCache::pages_for(rows, kPageSize) <=
+                    alloc.free_pages()) {
+                    live.push_back(std::make_unique<PagedKvCache>(pool));
+                    live.back()->swap_in(out.back().first, rows);
+                }
+                out.pop_back();
+            } else if (pick < 92 && !live.empty()) {
+                any().release_all();
+            } else if (!live.empty()) {
+                const auto i = static_cast<std::ptrdiff_t>(
+                    rng.uniform_index(live.size()));
+                live.erase(live.begin() + i);
+            }
+            // No operation frees a page it allocated, so every page
+            // handed out is live at the end of its operation.
+            peak = std::max(peak, alloc.used_pages());
+            for (std::size_t p = peak; p < kPages; ++p) {
+                ASSERT_EQ(alloc.refcount(static_cast<PageId>(p)), 0U)
+                    << "page " << p << " live at a peak use of " << peak
+                    << " pages, operation " << op;
+            }
+        }
+        EXPECT_GT(peak, kMaxSeq / kPageSize);
+        EXPECT_LE(peak, kPages / 4);
+    }
 }
 
 /// Shadow of one live sequence in the randomized stress test: the
