@@ -4,7 +4,7 @@
 // The (model, dataset, tolerance) searches are independent, so they
 // run as jobs on the parallel sweep scheduler: models are constructed
 // once and shared across datasets/tolerances through the global
-// ModelRegistry, results are memoized in the shared on-disk cache,
+// ModelRegistry, results are memoized in the in-memory cache,
 // and the scheduler prints wall-clock / cache statistics at the end.
 // Set ANDA_SWEEP_THREADS=1 for the serial (pre-scheduler) schedule.
 // The printed tables are diff-identical to the old serial loops
@@ -22,7 +22,7 @@ int
 main()
 {
     using namespace anda;
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     SweepScheduler sweep(&cache, &ModelRegistry::global(),
                          SweepOptions::from_env());
 

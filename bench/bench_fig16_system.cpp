@@ -15,7 +15,7 @@ int
 main()
 {
     using namespace anda;
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     const TechParams &tech = tech16();
     const PrecisionTuple fp16_tuple{16, 16, 16, 16};
 

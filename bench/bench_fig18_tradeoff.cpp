@@ -14,7 +14,7 @@ int
 main()
 {
     using namespace anda;
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     const TechParams &tech = tech16();
     const std::vector<double> tolerances = {0.001, 0.002, 0.005,
                                             0.01,  0.02,  0.05};

@@ -11,7 +11,7 @@ int
 main()
 {
     using namespace anda;
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     // Group size 0 denotes "#channels" (one group per token row).
     const std::vector<int> group_sizes = {1, 8, 16, 32, 64, 128, 0};
     const std::vector<int> mantissas = {13, 12, 11, 10, 9, 8, 7, 6, 5, 4};

@@ -3,7 +3,7 @@
 //
 // One job per model on the parallel sweep scheduler (the mantissa
 // sweep inside a job shares the model and corpus); models come from
-// the global ModelRegistry and results from the shared on-disk cache.
+// the global ModelRegistry and results from the in-memory cache.
 // Set ANDA_SWEEP_THREADS=1 for the serial (pre-scheduler) schedule.
 // The printed table is diff-identical to the old serial loop
 // (asserted at tiny scale by tests/test_integration.cpp).
@@ -20,7 +20,7 @@ int
 main()
 {
     using namespace anda;
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     SweepScheduler sweep(&cache, &ModelRegistry::global(),
                          SweepOptions::from_env());
     const std::vector<int> mantissas = {13, 12, 11, 10, 9, 8, 7, 6, 5, 4};

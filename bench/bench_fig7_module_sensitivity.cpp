@@ -11,7 +11,7 @@ int
 main()
 {
     using namespace anda;
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     const std::vector<int> mantissas = {13, 11, 9, 8, 7, 6, 5, 4};
     const char *module_names[4] = {"A_qkv", "A_o", "A_u", "A_d"};
 

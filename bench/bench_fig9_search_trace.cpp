@@ -11,7 +11,7 @@ int
 main()
 {
     using namespace anda;
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     SearchHarness h(opt_125m(), find_dataset("wikitext2-sim"), &cache);
     const SearchResult res = h.search(0.01, 32);
 

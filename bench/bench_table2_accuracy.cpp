@@ -5,7 +5,7 @@
 // The 27 (model, dataset) cells are independent, so they run as jobs
 // on the parallel sweep scheduler: models are constructed once and
 // shared across datasets through the global ModelRegistry, results are
-// memoized in the shared on-disk cache, and the scheduler prints
+// memoized in the in-memory cache, and the scheduler prints
 // wall-clock / cache statistics at the end. Set ANDA_SWEEP_THREADS=1
 // to reproduce the serial (pre-scheduler) schedule, or =N to cap the
 // job-level workers.
@@ -43,7 +43,7 @@ int
 main()
 {
     using namespace anda;
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     SweepScheduler sweep(&cache, &ModelRegistry::global(),
                          SweepOptions::from_env());
 

@@ -25,7 +25,7 @@ main(int argc, char **argv)
                 100 * tolerance);
 
     // Offline one-shot calibration (reuses the PTQ calibration set).
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     SearchHarness h(model, find_dataset("wikitext2-sim"), &cache);
 
     std::printf("[1] weight-only quantization (W4A16g128)\n");

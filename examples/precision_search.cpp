@@ -20,7 +20,7 @@ main(int argc, char **argv)
     const ModelConfig &model = model_name == "opt-125m"
                                    ? opt_125m()
                                    : find_model(model_name);
-    ResultCache cache(default_cache_path());
+    ResultCache cache;
     SearchHarness h(model, find_dataset(dataset), &cache);
 
     std::printf("searching %s on %s, tolerance %.2f%% "

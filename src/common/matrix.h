@@ -72,6 +72,16 @@ class Matrix {
         return std::move(data_);
     }
 
+    /// Reinterprets the first rows * cols elements as a [rows x cols]
+    /// matrix and drops the rest, without reallocating.
+    void reshape_prefix(std::size_t rows, std::size_t cols)
+    {
+        ANDA_CHECK_LE(rows * cols, data_.size(), "reshape grows matrix");
+        rows_ = rows;
+        cols_ = cols;
+        data_.resize(rows * cols);
+    }
+
     /// Fills every element with a constant.
     void fill(float v)
     {

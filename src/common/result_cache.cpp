@@ -1,31 +1,6 @@
 #include "common/result_cache.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 namespace anda {
-
-ResultCache::ResultCache(std::string path) : path_(std::move(path))
-{
-    if (path_.empty()) {
-        return;
-    }
-    std::ifstream in(path_);
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto tab = line.find('\t');
-        if (tab == std::string::npos) {
-            continue;
-        }
-        const std::string key = line.substr(0, tab);
-        try {
-            map_[key] = std::stod(line.substr(tab + 1));
-        } catch (...) {
-            // Ignore malformed lines; the cache is best-effort.
-        }
-    }
-}
 
 std::optional<double>
 ResultCache::get(const std::string &key) const
@@ -45,13 +20,6 @@ ResultCache::put(const std::string &key, double value)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     map_[key] = value;
-    if (!path_.empty()) {
-        std::ofstream out(path_, std::ios::app);
-        std::ostringstream line;
-        line.precision(17);
-        line << key << "\t" << value << "\n";
-        out << line.str();
-    }
 }
 
 std::size_t

@@ -1,14 +1,14 @@
 #pragma once
 
 /// @file
-/// Persistent string-key -> double result cache.
+/// In-memory string-key -> double result cache.
 ///
 /// Accuracy evaluations dominate experiment runtime: a single perplexity
 /// measurement is a full forward pass over the calibration corpus.
-/// Table II, Fig. 14 and Fig. 18 all search over the same precision
-/// combinations, so benches share evaluations through this cache
-/// (one line per entry: "<key>\t<value>"). Deleting the file is always
-/// safe; it only trades time for recomputation.
+/// Algorithm 1 and the benches' sweeps revisit the same precision
+/// combinations, so one process shares its evaluations through this
+/// cache. It is never persisted: a key carries no code or numerics
+/// version, so a stored value could outlive the code that computed it.
 
 #include <atomic>
 #include <cstddef>
@@ -19,17 +19,13 @@
 
 namespace anda {
 
-/// Thread-safe, file-backed memo table.
+/// Thread-safe memo table.
 class ResultCache {
   public:
-    /// Loads any existing entries from path. Pass an empty path for a
-    /// purely in-memory cache.
-    explicit ResultCache(std::string path);
-
     /// Looks up a key.
     std::optional<double> get(const std::string &key) const;
 
-    /// Inserts (or overwrites) and appends to the backing file.
+    /// Inserts (or overwrites).
     void put(const std::string &key, double value);
 
     std::size_t size() const;
@@ -49,7 +45,6 @@ class ResultCache {
     mutable std::mutex mutex_;
     mutable std::atomic<std::size_t> hits_{0};
     mutable std::atomic<std::size_t> misses_{0};
-    std::string path_;
     std::unordered_map<std::string, double> map_;
 };
 

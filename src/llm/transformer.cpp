@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -35,27 +36,36 @@ PrecisionConfig::anda(const std::array<int, 4> &mantissa)
 
 namespace {
 
-/// Fills a [rows x cols] matrix with N(0, std) entries.
+/// Fills values (row-major, in order) with N(0, std) entries.
 void
-fill_gaussian(Matrix &m, SplitMix64 &rng, double std)
+fill_gaussian(std::span<float> values, SplitMix64 &rng, double std)
 {
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        for (std::size_t c = 0; c < m.cols(); ++c) {
-            m(r, c) = static_cast<float>(rng.normal(0.0, std));
+    for (float &v : values) {
+        v = static_cast<float>(rng.normal(0.0, std));
+    }
+}
+
+/// Scales `count` rows drawn from [row0, row0 + rows) of m by `gain`
+/// (outlier implants on output channels).
+void
+implant_row_outliers(Matrix &m, std::size_t row0, std::size_t rows,
+                     SplitMix64 &rng, int count, double gain)
+{
+    for (int i = 0; i < count; ++i) {
+        const std::size_t r = row0 + rng.uniform_index(rows);
+        for (float &v : m.row(r)) {
+            v *= static_cast<float>(gain);
         }
     }
 }
 
-/// Scales `count` distinct rows of m by `gain` (outlier implants on
-/// output channels).
+/// x = fp16(x + y): a sublayer's residual add.
 void
-implant_row_outliers(Matrix &m, SplitMix64 &rng, int count, double gain)
+add_residual(Matrix &x, const Matrix &y)
 {
-    for (int i = 0; i < count; ++i) {
-        const std::size_t r = rng.uniform_index(m.rows());
-        for (float &v : m.row(r)) {
-            v *= static_cast<float>(gain);
-        }
+    ANDA_DCHECK_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        x.data()[i] = fp16_round(x.data()[i] + y.data()[i]);
     }
 }
 
@@ -76,17 +86,6 @@ w4_params()
     p.bits = 4;
     p.clip_search = true;
     return p;
-}
-
-/// Stores a drawn weight as its full-precision panels and its packed
-/// W4A16g128 panels. Called right after the weight's last RNG draw; the
-/// full panels take over the draw's storage, so storing a weight
-/// allocates only its INT4 panels and the quantizer's scratch.
-void
-store_weight(Matrix w, WeightPanels &full, WeightPanels &w4)
-{
-    w4 = WeightPanels(QuantizedWeight::quantize(w, w4_params()));
-    full = WeightPanels(std::move(w));
 }
 
 }  // namespace
@@ -117,7 +116,7 @@ Transformer::Transformer(const ModelConfig &cfg) : cfg_(cfg)
     // the OPT family.
     embedding_ = Matrix(static_cast<std::size_t>(d.vocab),
                         static_cast<std::size_t>(d.d_model));
-    fill_gaussian(embedding_, rng, 1.0);
+    fill_gaussian(embedding_.flat(), rng, 1.0);
     for (std::size_t v = 0; v < embedding_.rows(); ++v) {
         for (std::size_t c = 0; c < embedding_.cols(); ++c) {
             embedding_(v, c) *=
@@ -132,14 +131,14 @@ Transformer::Transformer(const ModelConfig &cfg) : cfg_(cfg)
     {
         Matrix head(static_cast<std::size_t>(d.vocab),
                     static_cast<std::size_t>(d.d_model));
-        fill_gaussian(head, rng, 1.0);
+        fill_gaussian(head.flat(), rng, 1.0);
         round_matrix_fp16(head);
         lm_head_ = WeightPanels(std::move(head));
     }
     if (!cfg_.is_llama()) {
         pos_embedding_ = Matrix(static_cast<std::size_t>(d.max_seq),
                                 static_cast<std::size_t>(d.d_model));
-        fill_gaussian(pos_embedding_, rng, 0.1);
+        fill_gaussian(pos_embedding_.flat(), rng, 0.1);
         round_matrix_fp16(pos_embedding_);
     }
 
@@ -176,45 +175,51 @@ Transformer::Transformer(const ModelConfig &cfg) : cfg_(cfg)
                   (prof.d_outlier_gain * prof.d_outlier_gain - 1.0) /
                   double(d.d_ffn));
 
+    // Stores a drawn weight as its full-precision panels and its packed
+    // W4A16g128 panels, right after the weight's last RNG draw; the full
+    // panels take over the draw's storage, so storing a weight allocates
+    // only its INT4 panels and the quantizer's scratch.
+    const auto store = [](Matrix w, Projection &p) {
+        p.w4 = WeightPanels(QuantizedWeight::quantize(w, w4_params()));
+        p.full = WeightPanels(std::move(w));
+    };
+    const auto draw = [&](std::size_t rows, std::size_t cols,
+                          double sigma) {
+        Matrix w(rows, cols);
+        fill_gaussian(w.flat(), rng, sigma);
+        return w;
+    };
+    const std::size_t dm = static_cast<std::size_t>(d.d_model);
+    const std::size_t df = static_cast<std::size_t>(d.d_ffn);
     layers_.resize(static_cast<std::size_t>(d.n_layers));
     for (auto &lw : layers_) {
         lw.norm1_gain = channel_gain;
         lw.norm2_gain = channel_gain;
 
         // Draw order: wq, wk, wv, wo, the wv outliers, w_up, w_down, the
-        // w_up outliers, then w_gate. Each weight is stored as soon as
-        // its last draw is done.
-        const auto draw = [&](std::size_t rows, std::size_t cols,
-                              double sigma) {
-            Matrix w(rows, cols);
-            fill_gaussian(w, rng, sigma);
-            return w;
-        };
-        const std::size_t dm = static_cast<std::size_t>(d.d_model);
-        const std::size_t df = static_cast<std::size_t>(d.d_ffn);
-        store_weight(
-            draw(dm, dm, inv_sqrt_d * prof.attn_sharpness / rms_gain),
-            lw.wq, lw.wq_w4);
-        store_weight(draw(dm, dm, inv_sqrt_d / rms_gain), lw.wk, lw.wk_w4);
-        Matrix wv = draw(dm, dm, inv_sqrt_d / rms_gain);
-        store_weight(draw(dm, dm, inv_sqrt_d * resid_scale / rms_ctx),
-                     lw.wo, lw.wo_w4);
+        // w_up outliers, then w_gate, each fused part into its row block.
+        Matrix qkv(3 * dm, dm);
+        fill_gaussian(qkv.flat().first(dm * dm), rng,
+                      inv_sqrt_d * prof.attn_sharpness / rms_gain);
+        fill_gaussian(qkv.flat().subspan(dm * dm), rng,
+                      inv_sqrt_d / rms_gain);
+        store(draw(dm, dm, inv_sqrt_d * resid_scale / rms_ctx), lw.o);
         // Outlier output channels of Wv shape the Ao tap's statistics.
-        implant_row_outliers(wv, rng, prof.outlier_channels,
+        implant_row_outliers(qkv, 2 * dm, dm, rng, prof.outlier_channels,
                              prof.o_outlier_gain);
-        store_weight(std::move(wv), lw.wv, lw.wv_w4);
+        store(std::move(qkv), lw.qkv);
 
-        Matrix w_up = draw(df, dm, inv_sqrt_d / rms_gain);
-        store_weight(draw(dm, df, inv_sqrt_f * resid_scale / rms_ffn),
-                     lw.w_down, lw.w_down_w4);
+        Matrix up(cfg_.is_llama() ? 2 * df : df, dm);
+        fill_gaussian(up.flat().first(df * dm), rng, inv_sqrt_d / rms_gain);
+        store(draw(dm, df, inv_sqrt_f * resid_scale / rms_ffn), lw.down);
         // Outlier FFN channels shape the Ad tap's statistics.
-        implant_row_outliers(w_up, rng, prof.outlier_channels,
+        implant_row_outliers(up, 0, df, rng, prof.outlier_channels,
                              prof.d_outlier_gain);
-        store_weight(std::move(w_up), lw.w_up, lw.w_up_w4);
         if (cfg_.is_llama()) {
-            store_weight(draw(df, dm, inv_sqrt_d / rms_gain), lw.w_gate,
-                         lw.w_gate_w4);
+            fill_gaussian(up.flat().subspan(df * dm), rng,
+                          inv_sqrt_d / rms_gain);
         }
+        store(std::move(up), lw.up);
     }
 }
 
@@ -271,48 +276,41 @@ Transformer::run_block(std::size_t layer, Matrix &x,
 #endif
 
     // ---- Attention ----
-    Matrix a(t_len, d);
-    for (std::size_t t = 0; t < t_len; ++t) {
-        if (llama) {
-            rms_norm(x.row(t), lw.norm1_gain, a.row(t));
-        } else {
-            layer_norm(x.row(t), lw.norm1_gain, a.row(t));
-        }
-    }
-    apply_act_format(a, opts.prec.qkv, opts.threads);  // Aqkv tap.
-
-    Matrix q = matmul_wt(a, pick(lw.wq, lw.wq_w4, opts), opts.threads);
-    Matrix k = matmul_wt(a, pick(lw.wk, lw.wk_w4, opts), opts.threads);
-    Matrix v = matmul_wt(a, pick(lw.wv, lw.wv_w4, opts), opts.threads);
-    if (llama) {
-        for (std::size_t t = 0; t < t_len; ++t) {
-            rope_rotate(q.row(t), rope.row(t));
-            rope_rotate(k.row(t), rope.row(t));
-        }
-    }
-
-    if (kv != nullptr) {
-        // Incremental decode: append each sequence's new rows to its
-        // cache (rows are cache-absolute, continuing the prefix).
-        // Row-by-row through KvSeq, so the physical layout (slab or
-        // paged) and storage format are the cache's business — a
-        // quantized cache packs here, at the row's single store, so
-        // every later read (including this step's attend below) sees
-        // the quantized values regardless of prefill chunking.
-        std::size_t off = 0;
-        for (std::size_t s = 0; s < seq_lens.size(); ++s) {
-            KvSeq &c = kv->seq(s);
-            const std::size_t base = c.length();
-            for (std::size_t t = 0; t < seq_lens[s]; ++t) {
-                c.store_k(layer, base + t, k.row(off + t));
-                c.store_v(layer, base + t, v.row(off + t));
-            }
-            off += seq_lens[s];
-        }
-    }
-
-    Matrix ctx(t_len, d);
+    Matrix ctx;
     {
+        // Row t of qkv is q | k | v; RoPE, the cache stores and
+        // attention read the three column slices in place.
+        Matrix qkv = tap(norm_rows(x, 0, t_len, lw.norm1_gain),
+                         opts.prec.qkv, lw.qkv, opts);
+        const auto q = [&qkv](std::size_t t) { return qkv.row(t).data(); };
+        const auto k = [&](std::size_t t) { return q(t) + d; };
+        const auto v = [&](std::size_t t) { return q(t) + 2 * d; };
+        if (llama) {
+            for (std::size_t t = 0; t < t_len; ++t) {
+                rope_rotate({q(t), d}, rope.row(t));
+                rope_rotate({k(t), d}, rope.row(t));
+            }
+        }
+
+        if (kv != nullptr) {
+            // Append each sequence's new rows to its cache, continuing
+            // the prefix. A quantized cache packs here, at the row's
+            // single store, so every later read (this step's attention
+            // included) sees the quantized values however prefill is
+            // chunked.
+            std::size_t off = 0;
+            for (std::size_t s = 0; s < seq_lens.size(); ++s) {
+                KvSeq &c = kv->seq(s);
+                const std::size_t base = c.length();
+                for (std::size_t t = 0; t < seq_lens[s]; ++t) {
+                    c.store_k(layer, base + t, {k(off + t), d});
+                    c.store_v(layer, base + t, {v(off + t), d});
+                }
+                off += seq_lens[s];
+            }
+        }
+
+        ctx = Matrix(t_len, d);
         // Per-row pointers of the current sequence, resolved once per
         // sequence (not once per head). With a cache the K/V rows come
         // through the KvSeq page/slab indirection as packed rows; a
@@ -352,7 +350,7 @@ Transformer::run_block(std::size_t layer, Matrix &x,
                     vpacked[t] = c.packed_v_row(layer, t).data();
                 }
                 if (len == 1) {
-                    attend_decode(q.row(r0), fmt, kpacked, vpacked, hd,
+                    attend_decode({q(r0), d}, fmt, kpacked, vpacked, hd,
                                   ctx.row(r0));
                     r0 += len;
                     continue;
@@ -379,14 +377,14 @@ Transformer::run_block(std::size_t layer, Matrix &x,
                 }
             } else {
                 for (std::size_t t = 0; t < kv_len; ++t) {
-                    krows[t] = k.row(r0 + t).data();
-                    vrows[t] = v.row(r0 + t).data();
+                    krows[t] = k(r0 + t);
+                    vrows[t] = v(r0 + t);
                 }
             }
             qrows.resize(len);
             orows.resize(len);
             for (std::size_t t = 0; t < len; ++t) {
-                qrows[t] = q.row(r0 + t).data();
+                qrows[t] = q(r0 + t);
                 orows[t] = ctx.row(r0 + t).data();
             }
             for (std::size_t h = 0; h < heads; ++h) {
@@ -396,54 +394,52 @@ Transformer::run_block(std::size_t layer, Matrix &x,
             r0 += len;
         }
     }
-    apply_act_format(ctx, opts.prec.o, opts.threads);  // Ao tap.
-    const Matrix att_out =
-        matmul_wt(ctx, pick(lw.wo, lw.wo_w4, opts), opts.threads);
-    for (std::size_t t = 0; t < t_len; ++t) {
-        auto xrow = x.row(t);
-        const auto orow = att_out.row(t);
-        for (std::size_t c = 0; c < d; ++c) {
-            xrow[c] = fp16_round(xrow[c] + orow[c]);
-        }
-    }
+    add_residual(x, tap(std::move(ctx), opts.prec.o, lw.o, opts));
 
     // ---- Feed-forward ----
-    Matrix b(t_len, d);
-    for (std::size_t t = 0; t < t_len; ++t) {
-        if (llama) {
-            rms_norm(x.row(t), lw.norm2_gain, b.row(t));
-        } else {
-            layer_norm(x.row(t), lw.norm2_gain, b.row(t));
-        }
-    }
-    apply_act_format(b, opts.prec.u, opts.threads);  // Au tap.
-
-    Matrix hmat;
+    Matrix h = tap(norm_rows(x, 0, t_len, lw.norm2_gain), opts.prec.u,
+                   lw.up, opts);
     if (llama) {
-        Matrix g =
-            matmul_wt(b, pick(lw.w_gate, lw.w_gate_w4, opts),
-                      opts.threads);
-        hmat = matmul_wt(b, pick(lw.w_up, lw.w_up_w4, opts),
-                         opts.threads);
-        swiglu_inplace(g.flat(), hmat.flat());
+        // Row t of h is up | gate. SwiGLU packs row t's result into
+        // floats [t ffn, (t + 1) ffn), which end at or before row t
+        // starts, so no row is overwritten before it is read.
+        const std::size_t ffn = h.cols() / 2;
+        for (std::size_t t = 0; t < t_len; ++t) {
+            float *row = h.row(t).data();
+            swiglu_inplace({row + ffn, ffn}, {row, ffn});
+            std::memmove(h.data() + t * ffn, row, ffn * sizeof(float));
+        }
+        h.reshape_prefix(t_len, ffn);
     } else {
-        hmat = matmul_wt(b, pick(lw.w_up, lw.w_up_w4, opts),
-                         opts.threads);
-        for (float &vv : hmat.flat()) {
+        for (float &vv : h.flat()) {
             vv = relu(vv);
         }
     }
-    apply_act_format(hmat, opts.prec.d, opts.threads);  // Ad tap.
-    const Matrix ffn_out =
-        matmul_wt(hmat, pick(lw.w_down, lw.w_down_w4, opts),
-                  opts.threads);
-    for (std::size_t t = 0; t < t_len; ++t) {
-        auto xrow = x.row(t);
-        const auto frow = ffn_out.row(t);
-        for (std::size_t c = 0; c < d; ++c) {
-            xrow[c] = fp16_round(xrow[c] + frow[c]);
+    add_residual(x, tap(std::move(h), opts.prec.d, lw.down, opts));
+}
+
+Matrix
+Transformer::tap(Matrix a, const ActFormat &fmt, const Projection &proj,
+                 const RunOptions &opts)
+{
+    apply_act_format(a, fmt, opts.threads);
+    return matmul_wt(a, opts.quantized_weights ? proj.w4 : proj.full,
+                     opts.threads);
+}
+
+Matrix
+Transformer::norm_rows(const Matrix &x, std::size_t row0,
+                       std::size_t rows, std::span<const float> gain) const
+{
+    Matrix out(rows, x.cols());
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (cfg_.is_llama()) {
+            rms_norm(x.row(row0 + r), gain, out.row(r));
+        } else {
+            layer_norm(x.row(row0 + r), gain, out.row(r));
         }
     }
+    return out;
 }
 
 void
@@ -451,14 +447,7 @@ Transformer::final_logits(const Matrix &x, std::size_t row0,
                           std::size_t rows, float *out) const
 {
     const ModelDims &dims = cfg_.sim;
-    Matrix normed(rows, x.cols());
-    for (std::size_t r = 0; r < rows; ++r) {
-        if (cfg_.is_llama()) {
-            rms_norm(x.row(row0 + r), final_norm_gain_, normed.row(r));
-        } else {
-            layer_norm(x.row(row0 + r), final_norm_gain_, normed.row(r));
-        }
-    }
+    Matrix normed = norm_rows(x, row0, rows, final_norm_gain_);
     fp16_round(normed.flat(), normed.flat());
     const float scale =
         static_cast<float>(cfg_.profile.logit_scale) /

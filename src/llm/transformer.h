@@ -5,10 +5,12 @@
 ///
 /// A full decoder-only transformer with synthetic, deterministic
 /// weights: OPT-style (ReLU FFN, LayerNorm, learned positions) or
-/// LLaMA-style (gated SiLU, RMSNorm, RoPE). The four FP-INT GeMM
+/// LLaMA-style (gated SiLU, RMSNorm, RoPE). Each block runs exactly the
+/// four FP-INT GeMMs the hw model prices (src/hw/workload.cpp), with
+/// Q|K|V and, on LLaMA, up|gate fused into one weight each. Their
 /// activation taps (Aqkv, Ao, Au, Ad) accept any activation format, so
 /// the accuracy experiments drop in FP16 / BFP / Anda representations
-/// exactly where the paper does. Weights of those four module types are
+/// exactly where the paper does. Weights of those four GeMMs are
 /// quantized to W4A16g128; everything else (attention, norms, logit
 /// head) stays FP16.
 
@@ -146,23 +148,24 @@ class Transformer {
                                      std::uint64_t seed) const;
 
   private:
+    /// One FP-INT GeMM's weight [out x in], packed for the panel GeMM
+    /// in full precision and as W4A16g128 INT4 nibbles (WeightPanels'
+    /// W4 form, bit-identical to the dequantized float weights).
+    struct Projection {
+        WeightPanels full;
+        WeightPanels w4;
+    };
+
+    /// The four GeMMs of a block, as the hw model prices them. A fused
+    /// weight stacks its parts' rows, so every output column and W4
+    /// scale group is the one a separate weight would give.
     struct LayerWeights {
         std::vector<float> norm1_gain;
         std::vector<float> norm2_gain;
-        // Full-precision weights, [out x in], packed for the panel GeMM
-        // (no row-major copy is kept).
-        WeightPanels wq, wk, wv, wo;
-        WeightPanels w_gate;  // LLaMA only.
-        WeightPanels w_up;
-        WeightPanels w_down;
-        // The same weights quantized to W4A16g128, packed as INT4
-        // nibbles with per-group FP16 scales (WeightPanels' W4 form,
-        // 1/8 of the float panels' bytes); matmul_wt dequantizes one
-        // panel at a time, bit-identical to multiplying the
-        // dequantized float weights.
-        WeightPanels wq_w4, wk_w4, wv_w4, wo_w4;
-        WeightPanels w_gate_w4;
-        WeightPanels w_up_w4, w_down_w4;
+        Projection qkv;   // Wq | Wk | Wv, [3d x d].
+        Projection o;     // [d x d].
+        Projection up;    // Wup, or Wup | Wgate [2 ffn x d] on LLaMA.
+        Projection down;  // [d x ffn].
     };
 
     /// Runs one transformer block over x [sum(T_i) x d] in place,
@@ -181,12 +184,16 @@ class Transformer {
                    BatchKvCache *kv, std::span<const std::size_t> seq_lens,
                    const Matrix &rope) const;
 
-    const WeightPanels &pick(const WeightPanels &full,
-                             const WeightPanels &w4,
-                             const RunOptions &opts) const
-    {
-        return opts.quantized_weights ? w4 : full;
-    }
+    /// One FP-INT GeMM: converts the activations `a` to `fmt` (the
+    /// tap), then multiplies them by the weight form opts selects.
+    /// Takes `a` by value so a moved-in input is freed on return.
+    static Matrix tap(Matrix a, const ActFormat &fmt,
+                      const Projection &proj, const RunOptions &opts);
+
+    /// The family's norm (RMSNorm on LLaMA, LayerNorm on OPT) of rows
+    /// [row0, row0 + rows) of x.
+    Matrix norm_rows(const Matrix &x, std::size_t row0, std::size_t rows,
+                     std::span<const float> gain) const;
 
     void embed_into(std::span<const int> tokens, std::size_t pos_offset,
                     Matrix &x, std::size_t row0) const;

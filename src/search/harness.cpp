@@ -1,18 +1,8 @@
 #include "search/harness.h"
 
-#include <cstdlib>
 #include <sstream>
 
 namespace anda {
-
-std::string
-default_cache_path()
-{
-    if (const char *env = std::getenv("ANDA_EVAL_CACHE")) {
-        return env;  // Empty string = in-memory only (ResultCache).
-    }
-    return "anda_eval_cache.tsv";
-}
 
 std::string
 ModelRegistry::key_of(const ModelConfig &cfg)

@@ -27,13 +27,6 @@
 
 namespace anda {
 
-/// Default location of the on-disk evaluation cache. Honors the
-/// ANDA_EVAL_CACHE environment variable (set it to an absolute path so
-/// benches launched from different working directories share one
-/// cache; set it to the empty string for a purely in-memory cache);
-/// falls back to `anda_eval_cache.tsv` in the working directory.
-std::string default_cache_path();
-
 /// Thread-safe registry of constructed Transformers keyed by the full
 /// model identity (name, family, seed, sim dims, outlier profile).
 /// Concurrent get() calls for the same configuration construct the

@@ -5,8 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -74,6 +72,22 @@ TEST(Matrix, RowViewsAndFill)
     }
     m(2, 3) = -1.0f;
     EXPECT_EQ(m.row(2)[3], -1.0f);
+}
+
+TEST(Matrix, ReshapePrefixKeepsLeadingElementsInPlace)
+{
+    Matrix m(4, 6);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+        m.flat()[i] = static_cast<float>(i);
+    }
+    const float *data = m.data();
+    m.reshape_prefix(3, 5);
+    EXPECT_EQ(m.rows(), 3u);
+    EXPECT_EQ(m.cols(), 5u);
+    EXPECT_EQ(m.size(), 15u);
+    EXPECT_EQ(m.data(), data);  // No reallocation.
+    EXPECT_EQ(m(2, 4), 14.0f);
+    EXPECT_THROW(m.reshape_prefix(4, 4), CheckError);
 }
 
 TEST(Matrix, DiffHelpers)
@@ -203,7 +217,7 @@ TEST(Table, Formatters)
 
 TEST(ResultCache, InMemoryPutGet)
 {
-    ResultCache cache("");
+    ResultCache cache;
     EXPECT_FALSE(cache.get("a").has_value());
     cache.put("a", 1.5);
     ASSERT_TRUE(cache.get("a").has_value());
@@ -211,24 +225,6 @@ TEST(ResultCache, InMemoryPutGet)
     cache.put("a", 2.5);
     EXPECT_DOUBLE_EQ(*cache.get("a"), 2.5);
     EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ResultCache, PersistsAcrossInstances)
-{
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "anda_cache_test.tsv")
-            .string();
-    std::remove(path.c_str());
-    {
-        ResultCache cache(path);
-        cache.put("model|dataset|[7,7,6,5]", 14.99);
-    }
-    {
-        ResultCache cache(path);
-        ASSERT_TRUE(cache.get("model|dataset|[7,7,6,5]").has_value());
-        EXPECT_DOUBLE_EQ(*cache.get("model|dataset|[7,7,6,5]"), 14.99);
-    }
-    std::remove(path.c_str());
 }
 
 TEST(Stats, MeanGeomeanStddev)

@@ -235,7 +235,7 @@ TEST(Concurrency, ResultCacheConcurrentHitsAndMisses)
 {
     constexpr std::size_t kWriters = 3;
     constexpr std::size_t kKeysPerWriter = 64;
-    ResultCache cache{std::string()};  // In-memory only.
+    ResultCache cache;
     const auto key_of = [](std::size_t w, std::size_t k) {
         return "w" + std::to_string(w) + ":k" + std::to_string(k);
     };
@@ -282,7 +282,7 @@ TEST(Concurrency, ResultCacheConcurrentHitsAndMisses)
 TEST(Concurrency, SweepSchedulerJobFailureRace)
 {
     constexpr std::size_t kJobs = 24;
-    ResultCache cache{std::string()};
+    ResultCache cache;
     ModelRegistry registry;
     SweepOptions opts;
     opts.threads = 4;

@@ -22,7 +22,7 @@ TEST(Integration, FullPipelineOnOneModel)
 {
     // Quantize -> search at 2% on calibration -> validate -> estimate
     // hardware gains. Everything must be self-consistent.
-    ResultCache cache("");  // In-memory only.
+    ResultCache cache;
     const ModelConfig &model = find_model("opt-2.7b");
     SearchHarness h(model, find_dataset("wikitext2-sim"), &cache);
 
@@ -95,7 +95,7 @@ TEST(Integration, CachedSearchIsReproducible)
 {
     // Two harnesses sharing one cache must agree; the second run must
     // hit the cache for every evaluation.
-    ResultCache cache("");
+    ResultCache cache;
     const ModelConfig &model = opt_125m();
     const DatasetSpec &ds = find_dataset("ptb-sim");
     SearchHarness h1(model, ds, &cache);
@@ -151,7 +151,7 @@ TEST(Integration, SweepSchedulerMatchesDirectHarnesses)
     const ModelConfig &m0 = find_model("opt-1.3b");
     const ModelConfig &m1 = find_model("llama2-7b");
 
-    ResultCache cache("");
+    ResultCache cache;
     ModelRegistry registry;
     SweepScheduler sweep(&cache, &registry);
     double scheduled[2][2] = {{0.0, 0.0}, {0.0, 0.0}};
@@ -241,7 +241,7 @@ TEST(Integration, RewiredFig6TableIsDiffIdenticalToSerialLoop)
 
     const std::string scheduled =
         build([&](std::vector<std::vector<std::string>> &rows) {
-            ResultCache cache("");
+            ResultCache cache;
             ModelRegistry registry;
             SweepScheduler sweep(&cache, &registry);
             for (std::size_t m = 0; m < zoo.size(); ++m) {
@@ -304,7 +304,7 @@ TEST(Integration, RewiredFig14TableIsDiffIdenticalToSerialLoop)
 
     std::vector<std::vector<std::string>> sched_cells(
         zoo.size(), std::vector<std::string>(datasets.size()));
-    ResultCache cache("");
+    ResultCache cache;
     ModelRegistry registry;
     SweepScheduler sweep(&cache, &registry);
     for (std::size_t m = 0; m < zoo.size(); ++m) {
@@ -330,7 +330,7 @@ TEST(Integration, TighterToleranceCostsMoreOnRealSubstrate)
 {
     // On the actual LLM substrate (not a synthetic oracle): relaxing
     // the tolerance can only reduce (or keep) the chosen BOPs.
-    ResultCache cache("");
+    ResultCache cache;
     SearchHarness h(opt_125m(), find_dataset("wikitext2-sim"), &cache);
     const SearchResult strict = h.search(0.002, 24);
     const SearchResult loose = h.search(0.02, 24);

@@ -819,6 +819,70 @@ TEST_F(TransformerTest, BfpMantissaSweepDegradesMonotonically)
     EXPECT_GT(prev_loss, 0.05);  // M=3 must hurt badly.
 }
 
+/// FNV-1a over the bytes of a float buffer.
+std::uint64_t
+byte_checksum(std::uint64_t h, std::span<const float> v)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(v.data());
+    for (std::size_t i = 0; i < v.size_bytes(); ++i) {
+        h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+/// The executor's outputs, recorded as exact values: any refactor of
+/// the forward pass (tap fusion, weight layout, attention plumbing)
+/// must leave every one of them bit-identical.
+struct PinnedOutputs {
+    const char *model;
+    double nll_w4_anda;     ///< sequence_nll, W4, anda({8,7,7,6}).
+    double nll_full_fp16;   ///< sequence_nll, full weights, FP16.
+    double nll_kv_anda7;    ///< cached_sequence_nll, W4, KV anda(7).
+    std::uint64_t decode;   ///< Logit bytes of prefill + 3 decode steps.
+};
+
+PinnedOutputs
+executor_outputs(const char *name)
+{
+    const Transformer model(find_model(name));
+    const std::vector<int> toks = {0,  17, 203, 5,   88, 141, 9,   250,
+                                   33, 64, 2,   199, 77, 120, 46,  11};
+    RunOptions w4;
+    w4.prec = PrecisionConfig::anda({8, 7, 7, 6});
+    RunOptions full;
+    full.quantized_weights = false;
+    KvCache cache = model.make_cache();
+    BatchKvCache batch;
+    batch.add(cache);
+    std::uint64_t decode = 0xcbf29ce484222325ull;  // FNV-1a offset basis.
+    decode = byte_checksum(decode, model.prefill(cache, toks, w4));
+    for (const int tok : {3, 140, 61}) {
+        const Matrix logits =
+            model.decode_step(batch, std::span<const int>(&tok, 1), w4);
+        decode = byte_checksum(decode, logits.flat());
+    }
+    return {name, model.sequence_nll(toks, w4),
+            model.sequence_nll(toks, full),
+            model.cached_sequence_nll(toks, w4, KvFormat::anda(7)), decode};
+}
+
+TEST(Transformer, OutputsArePinned)
+{
+    const PinnedOutputs want[] = {
+        {"opt-6.7b", 0x1.cd02c453adcfcp+6, 0x1.d0c03df2708dep+6,
+         0x1.cd5eac036504ep+6, 0x5c4af60f78463c6full},
+        {"llama2-7b", 0x1.d60d59c4f83b2p+6, 0x1.ca71be00ba912p+6,
+         0x1.d681a109595d5p+6, 0x59e87ea5b87517b4ull},
+    };
+    for (const PinnedOutputs &w : want) {
+        const PinnedOutputs got = executor_outputs(w.model);
+        EXPECT_EQ(got.nll_w4_anda, w.nll_w4_anda) << w.model;
+        EXPECT_EQ(got.nll_full_fp16, w.nll_full_fp16) << w.model;
+        EXPECT_EQ(got.nll_kv_anda7, w.nll_kv_anda7) << w.model;
+        EXPECT_EQ(got.decode, w.decode) << w.model;
+    }
+}
+
 TEST(Corpus, SplitsAndDatasetsDiffer)
 {
     const Transformer model(find_model("opt-2.7b"));

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <vector>
 
 #include "common/parallel.h"
@@ -85,7 +84,7 @@ TEST(SweepScheduler, MatchesDirectHarnessExactly)
     const ModelConfig b = tiny_model("sweep-b", 12);
     const DatasetSpec ds = tiny_dataset();
 
-    ResultCache cache("");
+    ResultCache cache;
     ModelRegistry registry;
     SweepScheduler sweep(&cache, &registry);
     double ppl_a = 0.0;
@@ -116,7 +115,7 @@ TEST(SweepScheduler, SecondRunIsFullyMemoized)
 {
     const ModelConfig a = tiny_model("sweep-c", 21);
     const DatasetSpec ds = tiny_dataset();
-    ResultCache cache("");
+    ResultCache cache;
     ModelRegistry registry;
     SweepScheduler sweep(&cache, &registry);
 
@@ -240,7 +239,7 @@ TEST(SweepScheduler, ConstructionFailureFailsOnlyItsJobs)
     const ModelConfig good = tiny_model("sweep-good-model", 72);
     const DatasetSpec ds = tiny_dataset();
 
-    ResultCache cache("");
+    ResultCache cache;
     ModelRegistry registry;
     SweepScheduler sweep(&cache, &registry);
     double ok = 0.0;
@@ -280,21 +279,6 @@ TEST(SweepScheduler, ConstructionFailureFailsOnlyItsJobs)
     // registry miss; nothing is left behind.
     EXPECT_EQ(second.models_constructed, 1u);
     EXPECT_EQ(registry.size(), 1u);
-}
-
-TEST(DefaultCachePath, HonorsEnvironmentOverride)
-{
-    const char *saved = std::getenv("ANDA_EVAL_CACHE");
-    const std::string restore = saved != nullptr ? saved : "";
-    setenv("ANDA_EVAL_CACHE", "/tmp/anda-test-cache.tsv", 1);
-    EXPECT_EQ(default_cache_path(), "/tmp/anda-test-cache.tsv");
-    setenv("ANDA_EVAL_CACHE", "", 1);
-    EXPECT_EQ(default_cache_path(), "");  // In-memory cache.
-    unsetenv("ANDA_EVAL_CACHE");
-    EXPECT_EQ(default_cache_path(), "anda_eval_cache.tsv");
-    if (saved != nullptr) {
-        setenv("ANDA_EVAL_CACHE", restore.c_str(), 1);
-    }
 }
 
 }  // namespace

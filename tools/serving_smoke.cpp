@@ -12,7 +12,8 @@
 // and, when executed, matches its pricing-only twin step for step and
 // regenerates each completed request standalone through the public
 // prefill + decode_step API (serve_test::standalone_tokens). On top of
-// that, each scenario checks only what is specific to it.
+// that, each scenario checks only what is specific to it, and an
+// executed one must reproduce its committed token checksum.
 //
 // Registered as the `serving_smoke` ctest so the serving paths run
 // under the sanitizer CI lanes; writes each scenario's summary() line
@@ -119,6 +120,10 @@ struct Scenario {
     RequestStreamSpec spec;
     ServingOptions opts;
     void (*specific)(const Scenario &, const ServingReport &);
+    /// Committed generated_checksum() of an executed run (0 when
+    /// priced only): any change to the executor's numerics or to the
+    /// sampled tokens moves it.
+    std::uint64_t checksum = 0;
 
     /// Executed scenarios price the executor's config (its real dims
     /// are llama-7b's) in every run; the others price llama-7b.
@@ -337,7 +342,7 @@ scenarios()
     RequestStreamSpec spec = stream(7117, 16, 500.0, 4, 24, 2, 12);
     ServingOptions opts = executed(priced(4, 32), spec.seed);
     opts.exec_temperature = 0.8;
-    table.push_back({"base", spec, opts, check_base});
+    table.push_back({"base", spec, opts, check_base, 0x935e8267df845cab});
 
     // A burst against 11 pages of 8 rows: the largest request alone
     // needs pages(40 + 12 - 1) + pages(6) + 1 = 9, so max_batch = 4
@@ -348,9 +353,12 @@ scenarios()
     opts.page_budget = 11;
     opts.shared_prefix_len = 6;
     opts.preempt = PreemptPolicy::kRecompute;
-    table.push_back({"paged-recompute", spec, opts, check_paged});
+    // Both policies generate the same tokens, so share one checksum.
+    table.push_back(
+        {"paged-recompute", spec, opts, check_paged, 0xf0962c46ffc4d3e2});
     opts.preempt = PreemptPolicy::kSwap;
-    table.push_back({"paged-swap", spec, opts, check_paged});
+    table.push_back(
+        {"paged-swap", spec, opts, check_paged, 0xf0962c46ffc4d3e2});
 
     // Survivable chaos on the same pool: step faults retry, swap-in
     // faults fall back to recompute, a roomy retry budget fails
@@ -365,7 +373,7 @@ scenarios()
     opts.faults.step_fail_prob = 0.25;
     opts.faults.swap_fail_prob = 0.5;
     opts.faults.retry_budget = 1000000;
-    table.push_back({"chaos", spec, opts, check_chaos});
+    table.push_back({"chaos", spec, opts, check_chaos, 0x8710cda9a619b70a});
 
     // Graceful degradation: a classed overload with deadline drops,
     // shedding and a tight retry budget (terminal failures possible),
@@ -389,13 +397,13 @@ scenarios()
     opts.faults.step_fail_prob = 0.2;
     opts.faults.swap_fail_prob = 0.5;
     opts.faults.retry_budget = 2;
-    table.push_back({"degrade", spec, opts, check_degrade});
+    table.push_back({"degrade", spec, opts, check_degrade, 0});
 
     // Attention and KV-traffic pricing on a burst.
     spec = stream(5566, 16, 0.0, 16, 192, 4, 32);
     opts = priced(8, 128);
     opts.attn_pricing = true;
-    table.push_back({"attention", spec, opts, check_attention});
+    table.push_back({"attention", spec, opts, check_attention, 0});
 
     // An Anda m=7 KV cache under a 512 MiB byte budget, executed.
     spec = stream(7788, 48, 0.0, 16, 48, 8, 24);
@@ -404,7 +412,8 @@ scenarios()
     opts.page_size = 16;
     opts.kv_byte_budget = std::size_t{512} << 20;
     opts.kv_format = KvFormat::anda(7);
-    table.push_back({"kv-anda-m7", spec, opts, check_kv_quant});
+    table.push_back(
+        {"kv-anda-m7", spec, opts, check_kv_quant, 0xad7ba484c6ebcc33});
     return table;
 }
 
@@ -424,6 +433,13 @@ main()
         if (s.opts.executor == nullptr) {
             continue;
         }
+        char got[17];
+        std::snprintf(got, sizeof(got), "%016llx",
+                      static_cast<unsigned long long>(
+                          report.generated_checksum()));
+        s.expect(report.generated_checksum() == s.checksum,
+                 std::string("executed checksum ") + got +
+                     " differs from the committed value");
 
         ServingOptions twin_opts = s.opts;
         twin_opts.executor = nullptr;

@@ -57,7 +57,7 @@ main()
         tiny_model("smoke-llama", find_model("llama-7b"));
     const DatasetSpec dataset{"smoke-sim", 1.0, 4242, 4, 12};
 
-    ResultCache cache("");  // In-memory; the smoke must be hermetic.
+    ResultCache cache;
     ModelRegistry registry;  // Local, so counters start at zero.
     SweepScheduler sweep(&cache, &registry, {});
 
