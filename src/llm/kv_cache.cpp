@@ -123,14 +123,4 @@ BatchKvCache::add(KvSeq &cache)
     caches_.push_back(&cache);
 }
 
-std::size_t
-BatchKvCache::total_length() const
-{
-    std::size_t total = 0;
-    for (const KvSeq *c : caches_) {
-        total += c->length();
-    }
-    return total;
-}
-
 }  // namespace anda

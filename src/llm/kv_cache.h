@@ -310,10 +310,6 @@ class BatchKvCache {
     KvSeq &seq(std::size_t i) { return *caches_[i]; }
     const KvSeq &seq(std::size_t i) const { return *caches_[i]; }
 
-    /// Sum of committed lengths across the packed caches (the
-    /// scheduler's KV occupancy of this batch).
-    std::size_t total_length() const;
-
   private:
     std::vector<KvSeq *> caches_;
 };

@@ -26,14 +26,17 @@ struct Running {
     std::size_t remaining_prefill = 0;
     std::size_t remaining_output = 0;
     std::size_t resident = 0;
+
+    bool done() const
+    {
+        return remaining_prefill == 0 && remaining_output == 0;
+    }
 };
 
-/// A preempted request waiting to be readmitted.
+/// A preempted request waiting to be readmitted: its progress when it
+/// was evicted, and its K/V rows while they sit in host memory.
 struct Preempted {
-    std::size_t idx = 0;
-    std::size_t resident = 0;
-    std::size_t remaining_prefill = 0;
-    std::size_t remaining_output = 0;
+    Running run;
     bool swapped = false;
     std::vector<std::byte> swap;
 };
@@ -411,218 +414,284 @@ build_step_workload(const ModelConfig &model,
     return wl;
 }
 
-ServingReport
-simulate_serving(const ModelConfig &model,
-                 const AcceleratorConfig &system, const TechParams &tech,
-                 std::span<const Request> requests,
-                 const ServingOptions &opts_in)
-{
-    // Local copy: page_budget is resolved (from kv_byte_budget, or
-    // derived when no budget is given) up front, so every downstream
-    // gate reads one consistent limit.
-    ServingOptions opts = opts_in;
-    ANDA_CHECK(!requests.empty(), "empty request stream");
-    ANDA_CHECK(opts.max_batch > 0 && opts.max_step_tokens > 0,
-               "zero serving batch or budget");
-    ANDA_CHECK(opts.page_size > 0, "serving needs a page size");
-    ANDA_CHECK(std::isfinite(opts.swap_gbps),
-               "non-finite swap bandwidth");
-    ANDA_CHECK(opts.swap_gbps >= 0.0, "negative swap bandwidth");
-    ANDA_CHECK(opts.shed_timeout_s >= 0.0, "negative shed timeout");
-    kv_validate(opts.kv_format);
-    const FaultInjector injector(opts.faults);  // Validates the spec.
-    const bool faults_on = opts.faults.enabled();
-    const bool exec = opts.executor != nullptr;
-    const std::size_t ps = opts.page_size;
-    // KV bytes of one cached token at the real model dims: K and V
-    // rows across every layer, at the cache format's packed width.
-    const std::size_t kv_bytes_per_token =
-        2 * static_cast<std::size_t>(model.real.n_layers) *
-        kv_row_bytes(opts.kv_format,
-                     static_cast<std::size_t>(model.real.d_model));
-    const std::size_t shared_len =
-        opts.shared_prefix_len > 0
-            ? static_cast<std::size_t>(opts.shared_prefix_len)
-            : 0;
-    std::size_t max_rows = 1;   // Largest single-request footprint.
-    std::size_t max_prompt = 0;
-    for (const Request &r : requests) {
-        ANDA_CHECK(r.prompt_len >= 1 && r.output_len >= 1,
-                   "bad request lengths");
-        ANDA_CHECK(std::isfinite(r.arrival_s), "non-finite arrival time");
-        ANDA_CHECK(r.ttft_slo_s >= 0.0 && r.deadline_s >= 0.0,
-                   "negative request SLO");
-        max_rows = std::max(
-            max_rows, static_cast<std::size_t>(r.prompt_len) +
-                          static_cast<std::size_t>(r.output_len) - 1);
-        max_prompt =
-            std::max(max_prompt, static_cast<std::size_t>(r.prompt_len));
-        // A request caches prompt_len + output_len - 1 rows (every
-        // decode input appends one); it must fit the executor.
-        ANDA_CHECK(!exec || r.prompt_len + r.output_len - 1 <=
-                                opts.executor->dims().max_seq,
-                   "request exceeds the executor's max_seq");
-    }
-    // Pages the shared-prefix anchor can pin.
-    const std::size_t anchor_bound = PagedKvCache::pages_for(
-        std::min(shared_len, max_prompt), ps);
-    if (opts.kv_byte_budget > 0) {
-        ANDA_CHECK(opts.page_budget == 0,
-                   "kv_byte_budget and page_budget are mutually "
-                   "exclusive");
-        opts.page_budget =
-            opts.kv_byte_budget / (ps * kv_bytes_per_token);
-        ANDA_CHECK(opts.page_budget > 0,
-                   "kv_byte_budget smaller than one page");
-    } else if (opts.page_budget == 0) {
-        // No budget given: a pool that can never block. Each running
-        // request holds at most its own worst-case pages plus a
-        // copy-on-extend page, and the anchor pins at most
-        // anchor_bound, so admission and decode growth always fit and
-        // nothing waits or is preempted.
-        opts.page_budget =
-            opts.max_batch *
-                (PagedKvCache::pages_for(max_rows, ps) + 1) +
-            anchor_bound;
-    }
-    // Every request must be schedulable alone: its own worst-case
-    // pages, the shared-prefix anchor's pages, and one copy-on-extend
-    // page of slack.
-    ANDA_CHECK_LE(PagedKvCache::pages_for(max_rows, ps) + anchor_bound +
-                      1,
-                  opts.page_budget, "request cannot fit the page budget");
+namespace {
+
+/// One simulate_serving call, on options simulate_serving has checked.
+/// The constructor validates the requests, resolves the page budget,
+/// sets up the report and orders the arrivals; run() plays the step
+/// loop, one method per phase.
+struct Scheduler {
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+    const ModelConfig &model;
+    const AcceleratorConfig &system;
+    const TechParams &tech;
+    /// Local copy: page_budget is resolved (from kv_byte_budget, or
+    /// derived when no budget is given) up front, so every downstream
+    /// gate reads one consistent limit.
+    ServingOptions opts;
+    const FaultInjector injector;  // Validates the spec.
+    const bool faults_on;
+    const bool exec;
+    const std::size_t ps;
+    const std::size_t shared_len;
+    /// Cheapest possible step (one decode token): the per-token lower
+    /// bound kDropUnmeetable tests against. GeMM-only even under
+    /// attn_pricing: attention only adds cost, so the bound stays valid
+    /// and drops never get more aggressive than the legacy model's.
+    double min_step_s = 0.0;
 
     ServingReport report;
-    report.model = model.name;
-    report.system = system.name;
-    report.kv_format = opts.kv_format.name();
-    report.kv_bytes_per_token = kv_bytes_per_token;
-    report.page_size = ps;
-    report.page_budget = opts.page_budget;
-
-    // FCFS admission order: by arrival time, ids breaking ties.
+    /// FCFS admission order: by arrival time, ids breaking ties.
     std::vector<const Request *> queue;
-    queue.reserve(requests.size());
-    for (const Request &r : requests) {
-        queue.push_back(&r);
-    }
-    std::stable_sort(queue.begin(), queue.end(),
-                     [](const Request *a, const Request *b) {
-                         return a->arrival_s != b->arrival_s
-                                    ? a->arrival_s < b->arrival_s
-                                    : a->id < b->id;
-                     });
-
-    report.requests.resize(requests.size());
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        RequestMetrics &m = report.requests[i];
-        m.id = queue[i]->id;
-        m.arrival_s = queue[i]->arrival_s;
-        m.prompt_len = queue[i]->prompt_len;
-        m.output_len = queue[i]->output_len;
-        m.priority = queue[i]->priority;
-        m.ttft_slo_s = queue[i]->ttft_slo_s;
-        m.deadline_s = queue[i]->deadline_s;
-        report.total_prompt_tokens +=
-            static_cast<std::size_t>(m.prompt_len);
-        report.total_output_tokens +=
-            static_cast<std::size_t>(m.output_len);
-    }
-
-    // GeMM-tap cost of a fused step, memoized per (phase, fused rows)
-    // for this call: with the model, system and tuple fixed, the taps
-    // depend on nothing else, so each shape is priced once.
+    /// GeMM-tap cost of a fused step, memoized per (phase, fused rows)
+    /// for this call: with the model, system and tuple fixed, the taps
+    /// depend on nothing else, so each shape is priced once.
     std::map<std::pair<bool, std::size_t>, SystemRun> tap_memo;
-    const auto tap_cost = [&](std::size_t prefill,
-                              std::size_t decode) -> const SystemRun & {
-        const auto [it, fresh] =
-            tap_memo.try_emplace({prefill > 0, prefill + decode});
-        if (fresh) {
-            it->second = run_workload(
-                system, tech,
-                build_step_workload(model, prefill, decode, opts.tuple));
-        }
-        return it->second;
-    };
-
-    // Cheapest possible step (one decode token): the provable
-    // per-emitted-token lower bound kDropUnmeetable tests against.
-    // Deliberately GeMM-only even under attn_pricing — attention only
-    // adds cost, so this stays a valid (looser) lower bound and the
-    // drop decision cannot become more aggressive than the legacy
-    // model's.
-    double min_step_s = 0.0;
-    if (opts.deadline_policy == DeadlinePolicy::kDropUnmeetable) {
-        min_step_s = tap_cost(0, 1).seconds(tech);
-    }
-    // Priced bytes of one swapped KV row: K and V at the cache
-    // format's packed width, real dims (the same dims the GeMM taps
-    // are priced at). For FP32 this is the legacy 8 * layers *
-    // d_model bytes exactly.
-    const double row_bytes =
-        2.0 * static_cast<double>(model.real.n_layers) *
-        static_cast<double>(kv_row_bytes(
-            opts.kv_format,
-            static_cast<std::size_t>(model.real.d_model)));
-
-    report.executed = exec;
-    std::vector<std::unique_ptr<ExecRequest>> exec_state(queue.size());
-
-    // The page pool: real storage when executing, accounting-only in
-    // pricing mode — both take the identical allocate/share/preempt
-    // sequence, so page counts (and hence every scheduling decision)
-    // are bit-identical between priced and executed runs.
+    std::vector<std::unique_ptr<ExecRequest>> exec_state;
+    /// The page pool: real storage when executing, accounting-only in
+    /// pricing mode — both take the identical allocate/share/preempt
+    /// sequence, so page counts (and hence every scheduling decision)
+    /// are bit-identical between priced and executed runs.
     std::unique_ptr<KvPagePool> pool;
-    if (exec) {
-        const ModelDims &d = opts.executor->dims();
-        pool = std::make_unique<KvPagePool>(
-            static_cast<std::size_t>(d.n_layers),
-            static_cast<std::size_t>(d.d_model),
-            static_cast<std::size_t>(d.max_seq), ps, opts.page_budget,
-            true, opts.kv_format);
-    } else {
-        pool = std::make_unique<KvPagePool>(1, 1, max_rows, ps,
-                                            opts.page_budget, false,
-                                            opts.kv_format);
-    }
-    std::vector<std::unique_ptr<PagedKvCache>> pcache(queue.size());
-
-    // Shared-prefix anchor: adopts the first admitted request's
-    // prefix pages once they are committed; later admissions adopt
-    // from the anchor (so the pages survive the producer).
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    std::vector<std::unique_ptr<PagedKvCache>> pcache;
+    /// Shared-prefix anchor: adopts the first admitted request's
+    /// prefix pages once they are committed; later admissions adopt
+    /// from the anchor (so the pages survive the producer).
     std::unique_ptr<PagedKvCache> anchor;
     std::size_t producer = kNone;
     std::size_t anchor_target = 0;
 
     std::vector<Running> running;
-    running.reserve(opts.max_batch);
     std::vector<Preempted> preempted_q;
-    // Arrived requests not yet admitted, ordered (priority desc,
-    // arrival asc, id asc): the highest waiting class admits first and
-    // FCFS survives inside a class, so with uniform priorities this is
-    // exactly the legacy FCFS cursor.
+    /// Arrived requests not yet admitted, ordered (priority desc,
+    /// arrival asc, id asc): the highest waiting class admits first
+    /// and FCFS survives inside a class, so with uniform priorities
+    /// this is exactly the legacy FCFS cursor.
     std::vector<std::size_t> waiting;
     std::size_t next = 0;  // Arrival-ingestion cursor.
     double now = 0.0;
-    // Per-request swap-in attempt counters (the fault-stream key).
-    std::vector<std::size_t> swap_attempts(queue.size(), 0);
-    // Robustness events between steps, attached to the next recorded
-    // step for replay (events of abandoned step attempts roll into
-    // the next recorded step; any trailing events flush into the
-    // final one, so the step log conserves every event the report
-    // totals count).
-    std::size_t pending_drops = 0;
-    std::size_t pending_sheds = 0;
-    std::size_t pending_preempts = 0;
-    std::size_t pending_fault_retries = 0;
-    std::size_t pending_failed = 0;
-    double pending_swap_stall = 0.0;
-    // Fault-stream step site; advances per planned step even when the
-    // step is abandoned, so the schedule replays exactly.
+    /// Per-request swap-in attempt counters (the fault-stream key).
+    std::vector<std::size_t> swap_attempts;
+    /// Robustness events between steps (the event fields only),
+    /// attached to the next recorded step for replay: events of
+    /// abandoned step attempts roll into the next recorded step, and
+    /// trailing events flush into the final one, so the step log
+    /// conserves every event the report totals count.
+    ServingStep pending;
+    /// Fault-stream step site; advances per planned step even when the
+    /// step is abandoned, so the schedule replays exactly.
     std::uint64_t fault_site = 0;
 
-    const auto admit_less = [&report](std::size_t a, std::size_t b) {
+    Scheduler(const ModelConfig &model_in,
+              const AcceleratorConfig &system_in,
+              const TechParams &tech_in, std::span<const Request> requests,
+              const ServingOptions &opts_in)
+        : model(model_in), system(system_in), tech(tech_in),
+          opts(opts_in), injector(opts.faults),
+          faults_on(opts.faults.enabled()),
+          exec(opts.executor != nullptr), ps(opts.page_size),
+          shared_len(opts.shared_prefix_len > 0
+                         ? static_cast<std::size_t>(opts.shared_prefix_len)
+                         : 0)
+    {
+        // KV bytes of one cached token at the real model dims: K and V
+        // rows across every layer, at the cache format's packed width.
+        const std::size_t kv_bytes_per_token =
+            2 * static_cast<std::size_t>(model.real.n_layers) *
+            kv_row_bytes(opts.kv_format,
+                         static_cast<std::size_t>(model.real.d_model));
+        std::size_t max_rows = 1;  // Largest single-request footprint.
+        std::size_t max_prompt = 0;
+        queue.reserve(requests.size());
+        for (const Request &r : requests) {
+            queue.push_back(&r);
+            ANDA_CHECK(r.prompt_len >= 1 && r.output_len >= 1,
+                       "bad request lengths");
+            ANDA_CHECK(std::isfinite(r.arrival_s),
+                       "non-finite arrival time");
+            ANDA_CHECK(r.ttft_slo_s >= 0.0 && r.deadline_s >= 0.0,
+                       "negative request SLO");
+            max_rows = std::max(
+                max_rows, static_cast<std::size_t>(r.prompt_len) +
+                              static_cast<std::size_t>(r.output_len) - 1);
+            max_prompt = std::max(max_prompt,
+                                  static_cast<std::size_t>(r.prompt_len));
+            // A request caches prompt_len + output_len - 1 rows (every
+            // decode input appends one); it must fit the executor.
+            ANDA_CHECK(!exec || r.prompt_len + r.output_len - 1 <=
+                                    opts.executor->dims().max_seq,
+                       "request exceeds the executor's max_seq");
+        }
+        // Pages the shared-prefix anchor can pin.
+        const std::size_t anchor_bound = PagedKvCache::pages_for(
+            std::min(shared_len, max_prompt), ps);
+        if (opts.kv_byte_budget > 0) {
+            ANDA_CHECK(opts.page_budget == 0,
+                       "kv_byte_budget and page_budget are mutually "
+                       "exclusive");
+            opts.page_budget =
+                opts.kv_byte_budget / (ps * kv_bytes_per_token);
+            ANDA_CHECK(opts.page_budget > 0,
+                       "kv_byte_budget smaller than one page");
+        } else if (opts.page_budget == 0) {
+            // No budget given: a pool that can never block. Each
+            // running request holds at most its own worst-case pages
+            // plus a copy-on-extend page, and the anchor pins at most
+            // anchor_bound, so admission and decode growth always fit
+            // and nothing waits or is preempted.
+            opts.page_budget =
+                opts.max_batch *
+                    (PagedKvCache::pages_for(max_rows, ps) + 1) +
+                anchor_bound;
+        }
+        // Every request must be schedulable alone: its own worst-case
+        // pages, the shared-prefix anchor's pages, and one
+        // copy-on-extend page of slack.
+        ANDA_CHECK_LE(PagedKvCache::pages_for(max_rows, ps) +
+                          anchor_bound + 1,
+                      opts.page_budget,
+                      "request cannot fit the page budget");
+
+        report.model = model.name;
+        report.system = system.name;
+        report.kv_format = opts.kv_format.name();
+        report.kv_bytes_per_token = kv_bytes_per_token;
+        report.page_size = ps;
+        report.page_budget = opts.page_budget;
+        report.executed = exec;
+
+        std::stable_sort(queue.begin(), queue.end(),
+                         [](const Request *a, const Request *b) {
+                             return a->arrival_s != b->arrival_s
+                                        ? a->arrival_s < b->arrival_s
+                                        : a->id < b->id;
+                         });
+        report.requests.resize(requests.size());
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            RequestMetrics &m = report.requests[i];
+            m.id = queue[i]->id;
+            m.arrival_s = queue[i]->arrival_s;
+            m.prompt_len = queue[i]->prompt_len;
+            m.output_len = queue[i]->output_len;
+            m.priority = queue[i]->priority;
+            m.ttft_slo_s = queue[i]->ttft_slo_s;
+            m.deadline_s = queue[i]->deadline_s;
+            report.total_prompt_tokens +=
+                static_cast<std::size_t>(m.prompt_len);
+            report.total_output_tokens +=
+                static_cast<std::size_t>(m.output_len);
+        }
+
+        if (opts.deadline_policy == DeadlinePolicy::kDropUnmeetable) {
+            min_step_s = tap_cost(0, 1).seconds(tech);
+        }
+        exec_state.resize(queue.size());
+        if (exec) {
+            const ModelDims &d = opts.executor->dims();
+            pool = std::make_unique<KvPagePool>(
+                static_cast<std::size_t>(d.n_layers),
+                static_cast<std::size_t>(d.d_model),
+                static_cast<std::size_t>(d.max_seq), ps, opts.page_budget,
+                true, opts.kv_format);
+        } else {
+            pool = std::make_unique<KvPagePool>(1, 1, max_rows, ps,
+                                                opts.page_budget, false,
+                                                opts.kv_format);
+        }
+        pcache.resize(queue.size());
+        running.reserve(opts.max_batch);
+        swap_attempts.assign(queue.size(), 0);
+    }
+
+    /// The step loop, in phase order.
+    ServingReport run()
+    {
+        while (next < queue.size() || !waiting.empty() ||
+               !running.empty() || !preempted_q.empty()) {
+            ingest_arrivals();
+            if (opts.deadline_policy != DeadlinePolicy::kNone) {
+                enforce_deadlines();
+            }
+            if (opts.shed_timeout_s > 0.0 && !waiting.empty()) {
+                shed();
+            }
+            readmit();
+            admit();
+            // Rows readmit() and admit() materialized may be preempted
+            // away before the step records.
+            note_resident_peak();
+            if (running.empty()) {
+                // Every arrival was dropped or shed; nothing to run.
+                ANDA_CHECK(waiting.empty(),
+                           "a waiting request could not admit into an "
+                           "idle batch");
+                continue;
+            }
+            report.peak_batch =
+                std::max(report.peak_batch, running.size());
+            StepPlan plan = plan_step();
+            SystemRun cost;
+            if (!attempt_step(plan, cost)) {
+                // No attempt survived; the step never ran. Reschedule
+                // with the freed pages (pending events carry forward
+                // to the next recorded step).
+                continue;
+            }
+            record_step(plan, cost);
+            execute(plan);
+            advance(plan);
+            release_finished();
+        }
+        // Trailing events (after the last recorded step — e.g. a final
+        // batch failing terminally, or drops with nothing left to run)
+        // flush into the final step so the step log conserves them.
+        if (!report.steps.empty()) {
+            ServingStep &last = report.steps.back();
+            last.preemptions += pending.preemptions;
+            last.drops += pending.drops;
+            last.sheds += pending.sheds;
+            last.fault_retries += pending.fault_retries;
+            last.failed += pending.failed;
+            last.swap_stall_s += pending.swap_stall_s;
+        }
+        report.makespan_s = now;
+        // Hand the metrics back in request-id order.
+        std::sort(report.requests.begin(), report.requests.end(),
+                  [](const RequestMetrics &a, const RequestMetrics &b) {
+                      return a.id < b.id;
+                  });
+        return std::move(report);
+    }
+
+    /// Moves every arrival up to now into the priority-ordered waiting
+    /// queue. An idle system first jumps to the next arrival (never
+    /// while a preempted or waiting request is pending — their service
+    /// is immediate).
+    void ingest_arrivals()
+    {
+        if (running.empty() && preempted_q.empty() && waiting.empty() &&
+            next < queue.size() && report.requests[next].arrival_s > now) {
+            now = report.requests[next].arrival_s;
+        }
+        while (next < queue.size() &&
+               report.requests[next].arrival_s <= now) {
+            const auto pos = std::upper_bound(
+                waiting.begin(), waiting.end(), next,
+                [this](std::size_t a, std::size_t w) {
+                    return admit_less(a, w);
+                });
+            waiting.insert(pos, next);
+            ++next;
+        }
+    }
+
+    /// Admission order over request indices (priority desc, arrival
+    /// asc, id asc): a strict total order, so the waiting and
+    /// readmission queues it keeps sorted take binary-searched
+    /// insertions.
+    bool admit_less(std::size_t a, std::size_t b) const
+    {
         const RequestMetrics &ma = report.requests[a];
         const RequestMetrics &mb = report.requests[b];
         if (ma.priority != mb.priority) {
@@ -632,352 +701,121 @@ simulate_serving(const ModelConfig &model,
             return ma.arrival_s < mb.arrival_s;
         }
         return ma.id < mb.id;
-    };
-    const auto enqueue_waiting = [&](std::size_t idx) {
-        const auto pos =
-            std::find_if(waiting.begin(), waiting.end(),
-                         [&](std::size_t w) {
-                             return admit_less(idx, w);
-                         });
-        waiting.insert(pos, idx);
-    };
-    // Prices swap traffic onto the timeline (swap_gbps > 0 only).
-    // Called on BOTH directions — at eviction (swap-out, from
-    // preempt_victim) and at readmission (swap-in) — so one preempt-
-    // readmit round trip stalls twice. GB here is decimal: 1 GB/s =
-    // 1e9 B/s (docs/SERVING.md documents the convention).
-    const auto price_swap = [&](std::size_t rows, bool swap_out) {
-        if (opts.swap_gbps <= 0.0 || rows == 0) {
-            return;
+    }
+
+    /// Deadline enforcement: waiting and preempted requests whose
+    /// completion deadline is missed or provably unmeetable leave now
+    /// instead of occupying queue slots and pages.
+    void enforce_deadlines()
+    {
+        for (std::size_t w = 0; w < waiting.size();) {
+            const RequestMetrics &m = report.requests[waiting[w]];
+            if (deadline_hopeless(
+                    m, static_cast<std::size_t>(m.output_len))) {
+                retire(waiting[w], RequestOutcome::kDroppedDeadline);
+                waiting.erase(waiting.begin() +
+                              static_cast<std::ptrdiff_t>(w));
+            } else {
+                ++w;
+            }
         }
-        const double bytes = static_cast<double>(rows) * row_bytes;
-        const double stall = bytes / (opts.swap_gbps * 1e9);
-        now += stall;
-        pending_swap_stall += stall;
-        report.swap_bytes += static_cast<std::uint64_t>(bytes);
-        (swap_out ? report.swap_out_bytes : report.swap_in_bytes) +=
-            static_cast<std::uint64_t>(bytes);
-        report.swap_stall_s += stall;
-    };
-    // Samples the live resident-row total into the peak high-water
-    // mark. The post-step sample alone under-records: rows
-    // materialized between steps (swap-in restores, shared-prefix
-    // adoption at admission) can be preempted away by plan_step
-    // before the step is recorded, so a capacity planner reading only
-    // max-over-steps cache_tokens would budget below the true peak.
-    const auto note_resident_peak = [&]() {
-        std::size_t rows = 0;
-        for (const Running &r : running) {
-            rows += r.resident;
+        for (std::size_t p = 0; p < preempted_q.size();) {
+            const Running &r = preempted_q[p].run;
+            if (deadline_hopeless(report.requests[r.idx],
+                                  r.remaining_output)) {
+                retire(r.idx, RequestOutcome::kDroppedDeadline);
+                preempted_q.erase(preempted_q.begin() +
+                                  static_cast<std::ptrdiff_t>(p));
+            } else {
+                ++p;
+            }
         }
-        report.peak_cache_tokens =
-            std::max(report.peak_cache_tokens, rows);
-    };
-    // Retires a never-running request (waiting or preempted).
-    const auto retire = [&](std::size_t idx, RequestOutcome oc) {
+    }
+
+    /// Is `m`'s completion deadline already missed, or provably
+    /// unmeetable with `remaining` tokens still to emit (each needs one
+    /// step >= min_step_s)?
+    bool deadline_hopeless(const RequestMetrics &m,
+                           std::size_t remaining) const
+    {
+        if (m.deadline_s <= 0.0) {
+            return false;
+        }
+        const double dl = m.arrival_s + m.deadline_s;
+        return now > dl ||
+               now + static_cast<double>(remaining) * min_step_s > dl;
+    }
+
+    /// Load shedding: under overload the lowest waiting class is
+    /// turned away once it has queued past the timeout — graceful
+    /// degradation before preemption starts thrashing. Higher classes
+    /// never shed while a lower class is present.
+    void shed()
+    {
+        int low = report.requests[waiting.front()].priority;
+        for (const std::size_t idx : waiting) {
+            low = std::min(low, report.requests[idx].priority);
+        }
+        for (std::size_t w = 0; w < waiting.size();) {
+            const RequestMetrics &m = report.requests[waiting[w]];
+            if (m.priority == low &&
+                now - m.arrival_s > opts.shed_timeout_s) {
+                retire(waiting[w], RequestOutcome::kShed);
+                waiting.erase(waiting.begin() +
+                              static_cast<std::ptrdiff_t>(w));
+            } else {
+                ++w;
+            }
+        }
+    }
+
+    /// Ends a request with a non-completed outcome and frees its state;
+    /// the caller takes it off its queue or out of the batch.
+    void retire(std::size_t idx, RequestOutcome oc)
+    {
         RequestMetrics &m = report.requests[idx];
         m.outcome = oc;
         m.finish_s = now;
         if (oc == RequestOutcome::kDroppedDeadline) {
             ++report.dropped;
-            ++pending_drops;
+            ++pending.drops;
         } else if (oc == RequestOutcome::kShed) {
             ++report.shed;
-            ++pending_sheds;
+            ++pending.sheds;
         } else {
             ++report.failed;
+            ++pending.failed;
         }
-    };
-    // Is `m`'s completion deadline already missed — or, under
-    // kDropUnmeetable, provably unmeetable with `remaining` tokens
-    // still to emit (each needs one step >= min_step_s)?
-    const auto deadline_hopeless = [&](const RequestMetrics &m,
-                                       std::size_t remaining) {
-        if (m.deadline_s <= 0.0) {
-            return false;
-        }
-        const double dl = m.arrival_s + m.deadline_s;
-        if (now > dl) {
-            return true;
-        }
-        return opts.deadline_policy ==
-                   DeadlinePolicy::kDropUnmeetable &&
-               now + static_cast<double>(remaining) * min_step_s > dl;
-    };
+        release(idx);
+    }
 
-    const auto pick_victim = [&]() -> std::size_t {
-        // Every policy breaks ties toward the latest-admitted index,
-        // so kYoungest is the pure tie-break and uniform class
-        // metadata degenerates the metadata-keyed policies to the
-        // legacy victim (kLargestFootprint keys on residency).
-        std::size_t best = running.size() - 1;
-        switch (opts.evict) {
-        case EvictPolicy::kYoungest:
-            break;
-        case EvictPolicy::kLowestPriority:
-            best = 0;
-            for (std::size_t i = 1; i < running.size(); ++i) {
-                if (report.requests[running[i].idx].priority <=
-                    report.requests[running[best].idx].priority) {
-                    best = i;
-                }
-            }
-            break;
-        case EvictPolicy::kNearestDeadlineLast: {
-            const auto slack = [&](std::size_t i) {
-                const RequestMetrics &m =
-                    report.requests[running[i].idx];
-                return m.deadline_s > 0.0
-                           ? m.arrival_s + m.deadline_s - now
-                           : std::numeric_limits<double>::infinity();
-            };
-            best = 0;
-            double best_slack = slack(0);
-            for (std::size_t i = 1; i < running.size(); ++i) {
-                const double s = slack(i);
-                if (s >= best_slack) {
-                    best_slack = s;
-                    best = i;
-                }
-            }
-            break;
-        }
-        case EvictPolicy::kLargestFootprint:
-            best = 0;
-            for (std::size_t i = 1; i < running.size(); ++i) {
-                if (running[i].resident >= running[best].resident) {
-                    best = i;
-                }
-            }
-            break;
-        }
-        return best;
-    };
+    /// Frees a request's KV pages and execution state.
+    void release(std::size_t idx)
+    {
+        pcache[idx].reset();
+        exec_state[idx].reset();
+    }
 
-    const auto preempt_victim = [&](std::size_t &step_preempts) {
-        const std::size_t vi = pick_victim();
-        Running victim = running[vi];
-        running.erase(running.begin() +
-                      static_cast<std::ptrdiff_t>(vi));
-        Preempted p;
-        p.idx = victim.idx;
-        p.resident = victim.resident;
-        p.remaining_prefill = victim.remaining_prefill;
-        p.remaining_output = victim.remaining_output;
-        if (opts.preempt == PreemptPolicy::kSwap) {
-            p.swapped = true;
-            p.swap = pcache[victim.idx]->swap_out();
-            price_swap(victim.resident, true);
-        } else {
-            pcache[victim.idx]->release_all();
-        }
-        ++report.requests[victim.idx].preempt_count;
-        // The readmission queue stays in admission order (priority,
-        // then arrival): a victim re-enters at its original position
-        // instead of jumping to the front, so eviction storms and
-        // swap-fault recompute fallbacks can never silently invert
-        // FCFS (or priority) order.
-        const auto pos = std::find_if(
-            preempted_q.begin(), preempted_q.end(),
-            [&](const Preempted &q) {
-                return admit_less(p.idx, q.idx);
-            });
-        preempted_q.insert(pos, std::move(p));
-        ++report.preemptions;
-        ++step_preempts;
-    };
-
-    // Plans one step over the current batch, preempting under page
-    // pressure until the plan fits (a lone request always fits,
-    // enforced by the up-front budget validation).
-    const auto plan_step = [&](std::size_t &step_preempts) {
-        StepPlan plan;
-        for (;;) {
-            plan.decode_tokens = 0;
-            std::size_t decode_pages = 0;
-            for (const Running &r : running) {
-                if (r.remaining_prefill == 0) {
-                    ++plan.decode_tokens;
-                    decode_pages +=
-                        pcache[r.idx]->new_pages_needed(r.resident + 1);
-                }
-            }
-            plan.prefill_tokens = 0;
-            plan.chunk.assign(running.size(), 0);
-            const bool decode_fits =
-                decode_pages <= pool->allocator().free_pages();
-            if (decode_fits) {
-                std::size_t budget =
-                    opts.max_step_tokens > plan.decode_tokens
-                        ? opts.max_step_tokens - plan.decode_tokens
-                        : 0;
-                std::size_t avail =
-                    pool->allocator().free_pages() - decode_pages;
-                for (std::size_t i = 0;
-                     i < running.size() && budget > 0; ++i) {
-                    if (running[i].remaining_prefill == 0) {
-                        continue;
-                    }
-                    const PagedKvCache &cache = *pcache[running[i].idx];
-                    const std::size_t ext = cache.max_extension(avail);
-                    const std::size_t c = std::min(
-                        {running[i].remaining_prefill, budget,
-                         ext > running[i].resident
-                             ? ext - running[i].resident
-                             : 0});
-                    if (c == 0) {
-                        continue;
-                    }
-                    avail -=
-                        cache.new_pages_needed(running[i].resident + c);
-                    plan.chunk[i] = c;
-                    budget -= c;
-                    plan.prefill_tokens += c;
-                }
-            }
-            if (decode_fits &&
-                plan.decode_tokens + plan.prefill_tokens > 0) {
-                return plan;
-            }
-            ANDA_CHECK(running.size() > 1,
-                       "scheduler cannot make progress within the page "
-                       "budget");
-            preempt_victim(step_preempts);
-        }
-    };
-
-    // Prices one planned step. With attn_pricing each scheduled
-    // sequence contributes a SeqSlice over its cached context (decode
-    // rows and prefill chunks alike — a recompute-readmitted prefill
-    // restarts at context 0, so its re-attention is priced again,
-    // matching the recompute-costs-compute policy). Without it, the
-    // legacy GeMM-only aggregate is priced bit-identically to the
-    // pre-attention model.
-    const auto price_step = [&](const StepPlan &plan) {
-        const SystemRun &taps =
-            tap_cost(plan.prefill_tokens, plan.decode_tokens);
-        if (!opts.attn_pricing) {
-            return taps;
-        }
-        std::vector<SeqSlice> prefill;
-        std::vector<SeqSlice> decode;
-        for (std::size_t i = 0; i < running.size(); ++i) {
-            const Running &r = running[i];
-            if (r.remaining_prefill == 0) {
-                decode.push_back(
-                    {1, static_cast<std::uint64_t>(r.resident)});
-            } else if (plan.chunk[i] > 0) {
-                prefill.push_back(
-                    {static_cast<std::uint64_t>(plan.chunk[i]),
-                     static_cast<std::uint64_t>(r.resident)});
-            }
-        }
-        // Attention priced per step on top of the memoized taps:
-        // cycles, attn_cycles and kv_dram_bits equal run_workload of
-        // the full step workload bit for bit (the taps carry no KV
-        // bits). The energies agree up to summation order; no step
-        // field reads them.
-        Workload attn;
-        attn.attns = step_attn_ops(model, prefill, decode,
-                                   opts.kv_format.bits_per_element());
-        SystemRun run = run_workload(system, tech, attn);
-        run.cycles += taps.cycles;
-        run.compute_energy_pj += taps.compute_energy_pj;
-        run.bpc_energy_pj += taps.bpc_energy_pj;
-        run.act_sram_energy_pj += taps.act_sram_energy_pj;
-        run.wgt_sram_energy_pj += taps.wgt_sram_energy_pj;
-        run.dram_energy_pj += taps.dram_energy_pj;
-        return run;
-    };
-
-    while (next < queue.size() || !waiting.empty() ||
-           !running.empty() || !preempted_q.empty()) {
-        // Idle system: jump to the next arrival (never while a
-        // preempted or waiting request is pending — their service is
-        // immediate).
-        if (running.empty() && preempted_q.empty() &&
-            waiting.empty() && next < queue.size() &&
-            report.requests[next].arrival_s > now) {
-            now = report.requests[next].arrival_s;
-        }
-        // Ingest arrivals into the priority-ordered waiting queue.
-        while (next < queue.size() &&
-               report.requests[next].arrival_s <= now) {
-            enqueue_waiting(next);
-            ++next;
-        }
-        // Deadline enforcement: waiting and preempted requests whose
-        // completion deadline is missed (or provably unmeetable)
-        // leave now instead of occupying queue slots and pages.
-        if (opts.deadline_policy != DeadlinePolicy::kNone) {
-            for (std::size_t w = 0; w < waiting.size();) {
-                const std::size_t idx = waiting[w];
-                const RequestMetrics &m = report.requests[idx];
-                if (deadline_hopeless(
-                        m, static_cast<std::size_t>(m.output_len))) {
-                    retire(idx, RequestOutcome::kDroppedDeadline);
-                    waiting.erase(waiting.begin() +
-                                  static_cast<std::ptrdiff_t>(w));
-                } else {
-                    ++w;
-                }
-            }
-            for (std::size_t p = 0; p < preempted_q.size();) {
-                const Preempted &pe = preempted_q[p];
-                if (deadline_hopeless(report.requests[pe.idx],
-                                      pe.remaining_output)) {
-                    pcache[pe.idx].reset();
-                    exec_state[pe.idx].reset();
-                    retire(pe.idx, RequestOutcome::kDroppedDeadline);
-                    preempted_q.erase(
-                        preempted_q.begin() +
-                        static_cast<std::ptrdiff_t>(p));
-                } else {
-                    ++p;
-                }
-            }
-        }
-        // Load shedding: under overload the lowest waiting class is
-        // turned away once it has queued past the timeout — graceful
-        // degradation before preemption starts thrashing. Higher
-        // classes never shed while a lower class is present.
-        if (opts.shed_timeout_s > 0.0 && !waiting.empty()) {
-            int low = report.requests[waiting.front()].priority;
-            for (const std::size_t idx : waiting) {
-                low = std::min(low, report.requests[idx].priority);
-            }
-            for (std::size_t w = 0; w < waiting.size();) {
-                const std::size_t idx = waiting[w];
-                const RequestMetrics &m = report.requests[idx];
-                if (m.priority == low &&
-                    now - m.arrival_s > opts.shed_timeout_s) {
-                    retire(idx, RequestOutcome::kShed);
-                    waiting.erase(waiting.begin() +
-                                  static_cast<std::ptrdiff_t>(w));
-                } else {
-                    ++w;
-                }
-            }
-        }
-        // Readmit preempted requests first (queue order), before any
-        // new admission: swap restores the saved rows (a seeded
-        // swap-in fault falls back to recompute), recompute re-enters
-        // prefill over prompt + already-generated rows (emitting
-        // nothing it already emitted).
-        while (!preempted_q.empty() &&
-               running.size() < opts.max_batch) {
+    /// Readmits preempted requests first (queue order), before any new
+    /// admission: swap restores the saved rows (a seeded swap-in fault
+    /// falls back to recompute), recompute re-enters prefill over
+    /// prompt + already-generated rows (emitting nothing it already
+    /// emitted).
+    void readmit()
+    {
+        while (!preempted_q.empty() && running.size() < opts.max_batch) {
             Preempted &p = preempted_q.front();
+            const Running &r = p.run;
             const std::size_t need =
-                p.swapped
-                    ? PagedKvCache::pages_for(p.resident, ps)
-                    : PagedKvCache::pages_for(
-                          p.resident + p.remaining_prefill, ps);
+                p.swapped ? PagedKvCache::pages_for(r.resident, ps)
+                          : PagedKvCache::pages_for(
+                                r.resident + r.remaining_prefill, ps);
             if (need > pool->allocator().free_pages()) {
                 break;  // In order: never skip past a blocked head.
             }
             if (p.swapped && faults_on &&
-                injector.swap_in_fails(report.requests[p.idx].id,
-                                       swap_attempts[p.idx]++)) {
+                injector.swap_in_fails(report.requests[r.idx].id,
+                                       swap_attempts[r.idx]++)) {
                 // Host copy lost: fall back to recompute-on-readmit
                 // (token-identical by the recompute guarantee), then
                 // re-evaluate the larger recompute page need.
@@ -987,24 +825,26 @@ simulate_serving(const ModelConfig &model,
                 continue;
             }
             if (p.swapped) {
-                pcache[p.idx]->swap_in(p.swap, p.resident);
-                price_swap(p.resident, false);
-                running.push_back({p.idx, p.remaining_prefill,
-                                   p.remaining_output, p.resident});
+                pcache[r.idx]->swap_in(p.swap, r.resident);
+                price_swap(r.resident, false);
+                running.push_back(r);
             } else {
-                report.recomputed_tokens += p.resident;
-                running.push_back(
-                    {p.idx, p.resident + p.remaining_prefill,
-                     p.remaining_output, 0});
+                report.recomputed_tokens += r.resident;
+                running.push_back({r.idx, r.resident + r.remaining_prefill,
+                                   r.remaining_output, 0});
             }
             ++report.readmits;
             preempted_q.erase(preempted_q.begin());
         }
         ANDA_CHECK(!running.empty() || preempted_q.empty(),
                    "preempted request cannot readmit into an idle pool");
-        // Continuous batching: admit every waiting request that fits,
-        // highest priority first. Readmissions drain first — new
-        // admissions wait behind them.
+    }
+
+    /// Continuous batching: admits every waiting request that fits,
+    /// highest priority first. Readmissions drain first — new
+    /// admissions wait behind them.
+    void admit()
+    {
         while (!waiting.empty() && running.size() < opts.max_batch &&
                preempted_q.empty()) {
             const std::size_t cand = waiting.front();
@@ -1046,49 +886,238 @@ simulate_serving(const ModelConfig &model,
             }
             waiting.erase(waiting.begin());
         }
-        // Swap-ins and prefix adoptions above materialized rows that
-        // a same-round preemption (plan_step below) may free again
-        // before the step records — capture the transient peak now.
-        note_resident_peak();
-        if (running.empty()) {
-            // Everything arrived was dropped or shed; nothing to run.
-            ANDA_CHECK(waiting.empty(),
-                       "a waiting request could not admit into an "
-                       "idle batch");
-            continue;
+    }
+
+    /// Samples the live resident-row total into the peak high-water
+    /// mark and returns it. The post-step sample alone under-records:
+    /// rows materialized between steps (swap-in restores, shared-prefix
+    /// adoption at admission) can be preempted away by plan_step before
+    /// the step is recorded, so a capacity planner reading only
+    /// max-over-steps cache_tokens would budget below the true peak.
+    std::size_t note_resident_peak()
+    {
+        std::size_t rows = 0;
+        for (const Running &r : running) {
+            rows += r.resident;
+            // The counter-tracked occupancy is exactly the cache
+            // length — scheduler state matches the substrate.
+            ANDA_DCHECK(pcache[r.idx]->length() == r.resident,
+                        "scheduler occupancy diverged from the cache");
         }
-        report.peak_batch = std::max(report.peak_batch, running.size());
+        report.peak_cache_tokens = std::max(report.peak_cache_tokens, rows);
+        return rows;
+    }
 
-        // Schedule the step: one decode token per finished-prefill
-        // request, leftover budget into prefill chunks (priority
-        // admission order). The plan must also fit the free pages:
-        // when it cannot, the EvictPolicy victim is preempted and the
-        // plan retried (a lone request always fits,
-        // enforced by the up-front budget validation).
-        StepPlan plan = plan_step(pending_preempts);
+    /// Plans one step over the current batch: one decode token per
+    /// finished-prefill request, leftover budget into prefill chunks
+    /// (priority admission order). The plan must also fit the free
+    /// pages: when it cannot, the EvictPolicy victim is preempted and
+    /// the plan retried (a lone request always fits, enforced by the
+    /// up-front budget validation).
+    StepPlan plan_step()
+    {
+        StepPlan plan;
+        for (;;) {
+            plan.decode_tokens = 0;
+            std::size_t decode_pages = 0;
+            for (const Running &r : running) {
+                if (r.remaining_prefill == 0) {
+                    ++plan.decode_tokens;
+                    decode_pages +=
+                        pcache[r.idx]->new_pages_needed(r.resident + 1);
+                }
+            }
+            plan.prefill_tokens = 0;
+            plan.chunk.assign(running.size(), 0);
+            const bool decode_fits =
+                decode_pages <= pool->allocator().free_pages();
+            if (decode_fits) {
+                std::size_t budget =
+                    opts.max_step_tokens > plan.decode_tokens
+                        ? opts.max_step_tokens - plan.decode_tokens
+                        : 0;
+                std::size_t avail =
+                    pool->allocator().free_pages() - decode_pages;
+                for (std::size_t i = 0;
+                     i < running.size() && budget > 0; ++i) {
+                    const Running &r = running[i];
+                    if (r.remaining_prefill == 0) {
+                        continue;
+                    }
+                    const PagedKvCache &cache = *pcache[r.idx];
+                    const std::size_t ext = cache.max_extension(avail);
+                    const std::size_t c = std::min(
+                        {r.remaining_prefill, budget,
+                         ext > r.resident ? ext - r.resident : 0});
+                    if (c == 0) {
+                        continue;
+                    }
+                    avail -= cache.new_pages_needed(r.resident + c);
+                    plan.chunk[i] = c;
+                    budget -= c;
+                    plan.prefill_tokens += c;
+                }
+            }
+            if (decode_fits &&
+                plan.decode_tokens + plan.prefill_tokens > 0) {
+                return plan;
+            }
+            ANDA_CHECK(running.size() > 1,
+                       "scheduler cannot make progress within the page "
+                       "budget");
+            preempt_victim();
+        }
+    }
 
-        // Price the accelerator execution. A seeded transient fault
-        // wastes the attempt's cycles, idles through a capped
-        // exponential backoff (in units of the attempt's duration),
-        // charges every scheduled request one retry, and terminally
-        // fails requests past their budget before the retry replans.
-        SystemRun run{};
-        bool abandoned = false;
+    /// Every policy breaks ties toward the latest-admitted index, so
+    /// kYoungest is the pure tie-break and uniform priorities
+    /// degenerate kLowestPriority to the legacy victim.
+    std::size_t pick_victim() const
+    {
+        std::size_t best = running.size() - 1;
+        if (opts.evict == EvictPolicy::kLowestPriority) {
+            best = 0;
+            for (std::size_t i = 1; i < running.size(); ++i) {
+                if (report.requests[running[i].idx].priority <=
+                    report.requests[running[best].idx].priority) {
+                    best = i;
+                }
+            }
+        }
+        return best;
+    }
+
+    void preempt_victim()
+    {
+        const std::size_t vi = pick_victim();
+        Preempted p{running[vi], false, {}};
+        running.erase(running.begin() + static_cast<std::ptrdiff_t>(vi));
+        const std::size_t idx = p.run.idx;
+        if (opts.preempt == PreemptPolicy::kSwap) {
+            p.swapped = true;
+            p.swap = pcache[idx]->swap_out();
+            price_swap(p.run.resident, true);
+        } else {
+            pcache[idx]->release_all();
+        }
+        ++report.requests[idx].preempt_count;
+        // The readmission queue stays in admission order (priority,
+        // then arrival): a victim re-enters at its original position
+        // instead of jumping to the front, so eviction storms and
+        // swap-fault recompute fallbacks can never silently invert
+        // FCFS (or priority) order.
+        const auto pos = std::upper_bound(
+            preempted_q.begin(), preempted_q.end(), idx,
+            [this](std::size_t a, const Preempted &q) {
+                return admit_less(a, q.run.idx);
+            });
+        preempted_q.insert(pos, std::move(p));
+        ++report.preemptions;
+        ++pending.preemptions;
+    }
+
+    /// Prices swap traffic onto the timeline (swap_gbps > 0 only).
+    /// Called on BOTH directions — at eviction (swap-out) and at
+    /// readmission (swap-in) — so one preempt-readmit round trip
+    /// stalls twice. A row moves one cached token's packed K and V
+    /// bytes at the real dims. GB here is decimal: 1 GB/s = 1e9 B/s
+    /// (docs/SERVING.md documents the convention).
+    void price_swap(std::size_t rows, bool swap_out)
+    {
+        if (opts.swap_gbps <= 0.0 || rows == 0) {
+            return;
+        }
+        const double bytes = static_cast<double>(rows) *
+                             static_cast<double>(report.kv_bytes_per_token);
+        const double stall = bytes / (opts.swap_gbps * 1e9);
+        now += stall;
+        pending.swap_stall_s += stall;
+        report.swap_bytes += static_cast<std::uint64_t>(bytes);
+        (swap_out ? report.swap_out_bytes : report.swap_in_bytes) +=
+            static_cast<std::uint64_t>(bytes);
+        report.swap_stall_s += stall;
+    }
+
+    const SystemRun &tap_cost(std::size_t prefill, std::size_t decode)
+    {
+        const auto [it, fresh] =
+            tap_memo.try_emplace({prefill > 0, prefill + decode});
+        if (fresh) {
+            it->second = run_workload(
+                system, tech,
+                build_step_workload(model, prefill, decode, opts.tuple));
+        }
+        return it->second;
+    }
+
+    /// Prices one planned step. With attn_pricing each scheduled
+    /// sequence contributes a SeqSlice over its cached context (decode
+    /// rows and prefill chunks alike — a recompute-readmitted prefill
+    /// restarts at context 0, so its re-attention is priced again,
+    /// matching the recompute-costs-compute policy). Without it, the
+    /// legacy GeMM-only aggregate is priced bit-identically to the
+    /// pre-attention model.
+    SystemRun price(const StepPlan &plan)
+    {
+        const SystemRun &taps =
+            tap_cost(plan.prefill_tokens, plan.decode_tokens);
+        if (!opts.attn_pricing) {
+            return taps;
+        }
+        std::vector<SeqSlice> prefill;
+        std::vector<SeqSlice> decode;
+        for (std::size_t i = 0; i < running.size(); ++i) {
+            const Running &r = running[i];
+            if (r.remaining_prefill == 0) {
+                decode.push_back(
+                    {1, static_cast<std::uint64_t>(r.resident)});
+            } else if (plan.chunk[i] > 0) {
+                prefill.push_back(
+                    {static_cast<std::uint64_t>(plan.chunk[i]),
+                     static_cast<std::uint64_t>(r.resident)});
+            }
+        }
+        // Attention priced per step on top of the memoized taps:
+        // cycles, attn_cycles and kv_dram_bits equal run_workload of
+        // the full step workload bit for bit (the taps carry no KV
+        // bits). The energies agree up to summation order; no step
+        // field reads them.
+        Workload attn;
+        attn.attns = step_attn_ops(model, prefill, decode,
+                                   opts.kv_format.bits_per_element());
+        SystemRun run = run_workload(system, tech, attn);
+        run.cycles += taps.cycles;
+        run.compute_energy_pj += taps.compute_energy_pj;
+        run.bpc_energy_pj += taps.bpc_energy_pj;
+        run.act_sram_energy_pj += taps.act_sram_energy_pj;
+        run.wgt_sram_energy_pj += taps.wgt_sram_energy_pj;
+        run.dram_energy_pj += taps.dram_energy_pj;
+        return run;
+    }
+
+    /// Prices the planned step into `run`, through seeded transient
+    /// faults: a failed attempt wastes its cycles, idles through a
+    /// capped exponential backoff (in units of the attempt's
+    /// duration), charges every scheduled request one retry, and
+    /// retires requests past their budget before the retry replans.
+    /// Returns false when that left nothing running (the step is
+    /// abandoned).
+    bool attempt_step(StepPlan &plan, SystemRun &run)
+    {
         const std::uint64_t site = fault_site++;
         for (std::size_t attempt = 0;; ++attempt) {
             // Repriced per attempt: a retry can have replanned after
             // terminal failures, changing both rows and contexts.
-            run = price_step(plan);
-            if (!faults_on ||
-                !injector.step_attempt_fails(site, attempt)) {
-                break;
+            run = price(plan);
+            if (!faults_on || !injector.step_attempt_fails(site, attempt)) {
+                return true;
             }
             const double dur = run.seconds(tech);
             now += dur * static_cast<double>(
                              1 + injector.backoff_steps(attempt));
             report.wasted_cycles += run.cycles;
             ++report.step_faults;
-            ++pending_fault_retries;
+            ++pending.fault_retries;
             bool removed = false;
             for (std::size_t i = running.size(); i-- > 0;) {
                 const Running &r = running[i];
@@ -1103,129 +1132,46 @@ simulate_serving(const ModelConfig &model,
                     continue;
                 }
                 // Terminal: the request exhausted its retry budget.
-                m.outcome = RequestOutcome::kFailed;
-                m.finish_s = now;
-                ++report.failed;
-                ++pending_failed;
-                pcache[r.idx].reset();
-                exec_state[r.idx].reset();
+                retire(r.idx, RequestOutcome::kFailed);
                 running.erase(running.begin() +
                               static_cast<std::ptrdiff_t>(i));
                 removed = true;
             }
             if (running.empty()) {
-                abandoned = true;
-                break;
+                return false;
             }
             if (removed) {
-                plan = plan_step(pending_preempts);
+                plan = plan_step();
             }
         }
-        if (abandoned) {
-            // No attempt survived; the step never ran. Reschedule with
-            // the freed pages (pending event counters carry forward to
-            // the next recorded step).
-            continue;
-        }
+    }
 
-        ServingStep step;
+    /// Logs the step with the events pending since the previous one
+    /// and moves the clock to its end.
+    void record_step(const StepPlan &plan, const SystemRun &run)
+    {
+        ServingStep step = std::exchange(pending, ServingStep{});
         step.start_s = now;
         step.cycles = run.cycles;
         step.prefill_tokens = plan.prefill_tokens;
         step.decode_tokens = plan.decode_tokens;
         step.running = running.size();
-        step.preemptions = pending_preempts;
-        step.drops = pending_drops;
-        step.sheds = pending_sheds;
-        step.fault_retries = pending_fault_retries;
-        step.failed = pending_failed;
-        step.swap_stall_s = pending_swap_stall;
         step.attn_cycles = run.attn_cycles;
-        step.kv_bytes =
-            static_cast<std::uint64_t>(run.kv_dram_bits / 8.0);
+        step.kv_bytes = static_cast<std::uint64_t>(run.kv_dram_bits / 8.0);
         report.attn_cycles += step.attn_cycles;
         report.kv_dram_bytes += step.kv_bytes;
-        pending_drops = 0;
-        pending_sheds = 0;
-        pending_preempts = 0;
-        pending_fault_retries = 0;
-        pending_failed = 0;
-        pending_swap_stall = 0.0;
         report.steps.push_back(step);
         report.total_cycles += run.cycles;
         now += run.seconds(tech);
+    }
 
-        if (exec) {
-            // Execute exactly the priced shapes. One ragged decode
-            // step advances every request that entered the step past
-            // its prefill (heterogeneous cache lengths in one packed
-            // batch)...
-            BatchKvCache batch;
-            std::vector<int> in_tokens;
-            std::vector<std::size_t> decoding;
-            for (const Running &r : running) {
-                if (r.remaining_prefill == 0) {
-                    batch.add(*pcache[r.idx]);
-                    in_tokens.push_back(exec_state[r.idx]->last_token);
-                    decoding.push_back(r.idx);
-                }
-            }
-            if (!in_tokens.empty()) {
-                const Matrix logits = opts.executor->decode_step(
-                    batch, in_tokens, opts.exec_run);
-                for (std::size_t j = 0; j < decoding.size(); ++j) {
-                    ExecRequest &e = *exec_state[decoding[j]];
-                    const int tok =
-                        exec_pick_token(logits.row(j),
-                                   opts.exec_temperature, e.rng);
-                    e.last_token = tok;
-                    report.requests[decoding[j]].tokens.push_back(tok);
-                }
-            }
-            // ...and the prefill chunks append to their caches; the
-            // chunk completing a prompt emits the first output token
-            // from its last-row logits (already computed, so it costs
-            // no decode row — matching the priced step shape). A
-            // recompute-readmitted request rebuilds prompt rows and
-            // then its already-emitted tokens; its completing chunk
-            // emits nothing (everything it rebuilt was emitted
-            // before).
-            for (std::size_t i = 0; i < running.size(); ++i) {
-                if (plan.chunk[i] == 0) {
-                    continue;
-                }
-                ExecRequest &e = *exec_state[running[i].idx];
-                RequestMetrics &m = report.requests[running[i].idx];
-                const std::size_t prompt =
-                    static_cast<std::size_t>(m.prompt_len);
-                const std::size_t row0 = running[i].resident;
-                std::vector<int> toks(plan.chunk[i]);
-                for (std::size_t j = 0; j < plan.chunk[i]; ++j) {
-                    const std::size_t row = row0 + j;
-                    toks[j] = row < prompt
-                                  ? e.prompt[row]
-                                  : m.tokens[row - prompt];
-                }
-                const bool completes =
-                    plan.chunk[i] == running[i].remaining_prefill;
-                const bool emits = completes && m.tokens.empty();
-                // Intermediate (and re-prefill) chunks skip the
-                // O(vocab·d) logit head.
-                const std::vector<float> logits =
-                    opts.executor->prefill(*pcache[running[i].idx],
-                                           toks, opts.exec_run, emits);
-                if (emits) {
-                    const int tok = exec_pick_token(
-                        logits, opts.exec_temperature, e.rng);
-                    e.last_token = tok;
-                    m.tokens.push_back(tok);
-                }
-            }
-        } else {
-            // Pricing-only: mirror the executed runs' cache calls on
-            // the accounting pool, in the same order (decoders in
-            // batch order, then chunks), so the allocator walks the
-            // identical page sequence.
+    /// Executes exactly the priced shapes on the executor or, pricing
+    /// only, mirrors its cache calls on the accounting pool in the
+    /// same order (decoders in batch order, then chunks), so the
+    /// allocator walks the identical page sequence.
+    void execute(const StepPlan &plan)
+    {
+        if (!exec) {
             for (const Running &r : running) {
                 if (r.remaining_prefill == 0) {
                     pcache[r.idx]->reserve(r.resident + 1);
@@ -1234,19 +1180,86 @@ simulate_serving(const ModelConfig &model,
             }
             for (std::size_t i = 0; i < running.size(); ++i) {
                 if (plan.chunk[i] > 0) {
-                    pcache[running[i].idx]->reserve(
-                        running[i].resident + plan.chunk[i]);
+                    pcache[running[i].idx]->reserve(running[i].resident +
+                                                    plan.chunk[i]);
                     pcache[running[i].idx]->advance(plan.chunk[i]);
                 }
             }
+            return;
         }
+        // One ragged decode step advances every request that entered
+        // the step past its prefill (heterogeneous cache lengths in one
+        // packed batch)...
+        BatchKvCache batch;
+        std::vector<int> in_tokens;
+        std::vector<std::size_t> decoding;
+        for (const Running &r : running) {
+            if (r.remaining_prefill == 0) {
+                batch.add(*pcache[r.idx]);
+                in_tokens.push_back(exec_state[r.idx]->last_token);
+                decoding.push_back(r.idx);
+            }
+        }
+        if (!in_tokens.empty()) {
+            const Matrix logits =
+                opts.executor->decode_step(batch, in_tokens, opts.exec_run);
+            for (std::size_t j = 0; j < decoding.size(); ++j) {
+                ExecRequest &e = *exec_state[decoding[j]];
+                const int tok = exec_pick_token(
+                    logits.row(j), opts.exec_temperature, e.rng);
+                e.last_token = tok;
+                report.requests[decoding[j]].tokens.push_back(tok);
+            }
+        }
+        // ...and the prefill chunks append to their caches; the chunk
+        // completing a prompt emits the first output token from its
+        // last-row logits (already computed, so it costs no decode row
+        // — matching the priced step shape). A recompute-readmitted
+        // request rebuilds prompt rows and then its already-emitted
+        // tokens; its completing chunk emits nothing (everything it
+        // rebuilt was emitted before).
+        for (std::size_t i = 0; i < running.size(); ++i) {
+            if (plan.chunk[i] == 0) {
+                continue;
+            }
+            ExecRequest &e = *exec_state[running[i].idx];
+            RequestMetrics &m = report.requests[running[i].idx];
+            const std::size_t prompt =
+                static_cast<std::size_t>(m.prompt_len);
+            const std::size_t row0 = running[i].resident;
+            std::vector<int> toks(plan.chunk[i]);
+            for (std::size_t j = 0; j < plan.chunk[i]; ++j) {
+                const std::size_t row = row0 + j;
+                toks[j] = row < prompt ? e.prompt[row]
+                                       : m.tokens[row - prompt];
+            }
+            const bool completes =
+                plan.chunk[i] == running[i].remaining_prefill;
+            const bool emits = completes && m.tokens.empty();
+            // Intermediate (and re-prefill) chunks skip the
+            // O(vocab·d) logit head.
+            const std::vector<float> logits = opts.executor->prefill(
+                *pcache[running[i].idx], toks, opts.exec_run, emits);
+            if (emits) {
+                const int tok =
+                    exec_pick_token(logits, opts.exec_temperature, e.rng);
+                e.last_token = tok;
+                m.tokens.push_back(tok);
+            }
+        }
+    }
 
-        // Advance progress; the step's end timestamps every token it
-        // produced. A prefill that completes emits the first output
-        // token (its logits are already computed), so decode owes the
-        // remaining output_len - 1 tokens. A rebuilt prefill
-        // (recompute readmission) whose first token was already
-        // emitted completes silently.
+    /// Advances progress; the step's end timestamps every token it
+    /// produced. A prefill that completes emits the first output token
+    /// (its logits are already computed), so decode owes the remaining
+    /// output_len - 1 tokens. A rebuilt prefill (recompute
+    /// readmission) whose first token was already emitted completes
+    /// silently. Then anchors the shared prefix once its producer has
+    /// committed it (before any release — the producer may finish in
+    /// this very step): the anchor holds the pages alive for future
+    /// admissions, and adopters extend them copy-on-extend.
+    void advance(const StepPlan &plan)
+    {
         for (std::size_t i = 0; i < running.size(); ++i) {
             Running &r = running[i];
             RequestMetrics &m = report.requests[r.idx];
@@ -1266,79 +1279,60 @@ simulate_serving(const ModelConfig &model,
                 --r.remaining_output;
                 r.resident += 1;
             }
-            if (r.remaining_prefill == 0 && r.remaining_output == 0) {
+            if (r.done()) {
                 m.finish_s = now;
                 ++report.completed;
             }
         }
-
-        // Anchor the shared prefix once the producer has committed it
-        // (before any release below — the producer may finish in this
-        // very step). The anchor holds the pages alive for future
-        // admissions; adopters extend them copy-on-extend.
-        if (!anchor && producer != kNone &&
-            pcache[producer] &&
+        if (!anchor && producer != kNone && pcache[producer] &&
             pcache[producer]->length() >= anchor_target) {
             anchor = std::make_unique<PagedKvCache>(*pool);
             anchor->adopt_prefix(*pcache[producer], anchor_target);
         }
+    }
 
-        // Free finished requests' KV rows (slot occupancy returns to
-        // the pool / allocator).
+    /// Frees finished requests' KV rows (their pages return to the
+    /// pool), then records the KV and page occupancy after the step.
+    void release_finished()
+    {
         for (const Running &r : running) {
-            if (r.remaining_prefill == 0 && r.remaining_output == 0) {
-                pcache[r.idx].reset();
-                exec_state[r.idx].reset();
+            if (r.done()) {
+                release(r.idx);
             }
         }
-        running.erase(
-            std::remove_if(running.begin(), running.end(),
-                           [](const Running &r) {
-                               return r.remaining_prefill == 0 &&
-                                      r.remaining_output == 0;
-                           }),
-            running.end());
-
-        // KV occupancy after the step: resident rows of live caches
-        // (prompt progress + decode appends).
-        std::size_t resident = 0;
-        for (const Running &r : running) {
-            resident += r.resident;
-            // The counter-tracked occupancy is exactly the cache
-            // length — scheduler state matches the substrate.
-            ANDA_DCHECK(pcache[r.idx]->length() == r.resident,
-                        "scheduler occupancy diverged from the cache");
-        }
-        report.steps.back().cache_tokens = resident;
-        report.peak_cache_tokens =
-            std::max(report.peak_cache_tokens, resident);
+        running.erase(std::remove_if(running.begin(), running.end(),
+                                     [](const Running &r) {
+                                         return r.done();
+                                     }),
+                      running.end());
+        ServingStep &step = report.steps.back();
+        step.cache_tokens = note_resident_peak();
         const KvPageAllocator &alloc = pool->allocator();
-        report.steps.back().used_pages = alloc.used_pages();
-        report.steps.back().free_pages = alloc.free_pages();
+        step.used_pages = alloc.used_pages();
+        step.free_pages = alloc.free_pages();
         report.peak_used_pages =
             std::max(report.peak_used_pages, alloc.used_pages());
     }
+};
 
-    // Trailing events (after the last recorded step — e.g. a final
-    // batch failing terminally, or drops with nothing left to run)
-    // flush into the final step so the step log conserves them.
-    if (!report.steps.empty()) {
-        ServingStep &last = report.steps.back();
-        last.preemptions += pending_preempts;
-        last.drops += pending_drops;
-        last.sheds += pending_sheds;
-        last.fault_retries += pending_fault_retries;
-        last.failed += pending_failed;
-        last.swap_stall_s += pending_swap_stall;
-    }
+}  // namespace
 
-    report.makespan_s = now;
-    // Hand the metrics back in request-id order.
-    std::sort(report.requests.begin(), report.requests.end(),
-              [](const RequestMetrics &a, const RequestMetrics &b) {
-                  return a.id < b.id;
-              });
-    return report;
+ServingReport
+simulate_serving(const ModelConfig &model,
+                 const AcceleratorConfig &system, const TechParams &tech,
+                 std::span<const Request> requests,
+                 const ServingOptions &opts)
+{
+    ANDA_CHECK(!requests.empty(), "empty request stream");
+    ANDA_CHECK(opts.max_batch > 0 && opts.max_step_tokens > 0,
+               "zero serving batch or budget");
+    ANDA_CHECK(opts.page_size > 0, "serving needs a page size");
+    ANDA_CHECK(std::isfinite(opts.swap_gbps),
+               "non-finite swap bandwidth");
+    ANDA_CHECK(opts.swap_gbps >= 0.0, "negative swap bandwidth");
+    ANDA_CHECK(opts.shed_timeout_s >= 0.0, "negative shed timeout");
+    kv_validate(opts.kv_format);
+    return Scheduler(model, system, tech, requests, opts).run();
 }
 
 }  // namespace anda

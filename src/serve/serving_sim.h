@@ -60,6 +60,11 @@
 /// accounting-only page pool through the identical allocate / share /
 /// preempt sequence, so the step log (costs, tokens, pages,
 /// preemptions) is bit-identical with and without an executor.
+///
+/// Every step runs named phases in a fixed order: arrivals, deadlines,
+/// shedding, readmission, admission, plan, price, fault attempts,
+/// record, execute, advance and release (docs/SERVING.md, "Scheduler
+/// phases").
 
 #include <cstdint>
 #include <span>
@@ -92,24 +97,20 @@ enum class PreemptPolicy {
 };
 
 /// Which resident request the paged scheduler evicts under page
-/// pressure. Every policy breaks ties toward the latest-admitted
+/// pressure. Both policies break ties toward the latest-admitted
 /// resident, so kYoungest is the degenerate "ties only" case and the
 /// default reproduces the pre-policy scheduler exactly.
 enum class EvictPolicy {
-    kYoungest,             ///< Latest-admitted resident (legacy).
-    kLowestPriority,       ///< Lowest Request::priority first.
-    kNearestDeadlineLast,  ///< Most completion-deadline slack first
-                           ///< (no deadline = infinite slack).
-    kLargestFootprint,     ///< Most resident KV rows first.
+    kYoungest,        ///< Latest-admitted resident (legacy).
+    kLowestPriority,  ///< Lowest Request::priority first.
 };
 
 /// What the scheduler does about Request::deadline_s.
 enum class DeadlinePolicy {
-    kNone,        ///< Deadlines are reported (SLO attainment) only.
-    kDropMissed,  ///< A waiting or preempted request whose completion
-                  ///< deadline has already passed is dropped.
-    kDropUnmeetable,  ///< Additionally drop when the deadline is
-                      ///< provably unmeetable: even at one emitted
+    kNone,            ///< Deadlines are reported (SLO attainment) only.
+    kDropUnmeetable,  ///< A waiting or preempted request is dropped
+                      ///< once its completion deadline has passed or
+                      ///< is provably unmeetable: even at one emitted
                       ///< token per cheapest-possible step, the
                       ///< remaining output cannot finish in time.
 };

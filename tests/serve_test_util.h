@@ -10,7 +10,10 @@
 /// the standalone smoke binary can include it.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -118,6 +121,67 @@ run_executed(const ServingOptions &opts, const RequestStreamSpec &spec)
     return simulate_serving(tiny_executor().config(),
                             find_system("anda"), tech16(),
                             generate_requests(spec), opts);
+}
+
+/// FNV-1a fingerprint of a run's schedule: every ServingStep field,
+/// each request's admission, first-token and finish times (as bits),
+/// outcome, preemption and retry counts, and the run totals. Executed
+/// token checksums do not depend on the schedule by design, so this is
+/// what pins a changed victim or step cost.
+inline std::uint64_t
+schedule_fingerprint(const ServingReport &r)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64 offset.
+    const auto mix = [&h](std::uint64_t x) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (x >> (8 * b)) & 0xffull;
+            h *= 0x100000001b3ull;
+        }
+    };
+    const auto bits = [&mix](double x) {
+        mix(std::bit_cast<std::uint64_t>(x));
+    };
+    mix(r.steps.size());
+    for (const ServingStep &s : r.steps) {
+        bits(s.start_s);
+        mix(s.cycles);
+        mix(s.prefill_tokens);
+        mix(s.decode_tokens);
+        mix(s.running);
+        mix(s.cache_tokens);
+        mix(s.used_pages);
+        mix(s.free_pages);
+        mix(s.preemptions);
+        mix(s.drops);
+        mix(s.sheds);
+        mix(s.fault_retries);
+        mix(s.failed);
+        bits(s.swap_stall_s);
+        mix(s.attn_cycles);
+        mix(s.kv_bytes);
+    }
+    mix(r.requests.size());
+    for (const RequestMetrics &m : r.requests) {
+        bits(m.admitted_s);
+        bits(m.first_token_s);
+        bits(m.finish_s);
+        mix(static_cast<std::uint64_t>(m.outcome));
+        mix(m.preempt_count);
+        mix(m.fault_retries);
+    }
+    for (const std::uint64_t total : std::initializer_list<std::uint64_t>{
+             r.total_cycles, r.total_prompt_tokens, r.total_output_tokens,
+             r.peak_batch, r.peak_cache_tokens, r.page_budget,
+             r.preemptions, r.readmits, r.peak_used_pages,
+             r.reused_prefix_tokens, r.recomputed_tokens, r.completed,
+             r.dropped, r.shed, r.failed, r.step_faults, r.swap_faults,
+             r.wasted_cycles, r.swap_bytes, r.swap_out_bytes,
+             r.swap_in_bytes, r.attn_cycles, r.kv_dram_bytes}) {
+        mix(total);
+    }
+    bits(r.makespan_s);
+    bits(r.swap_stall_s);
+    return h;
 }
 
 /// The token oracle of executed serving: request `r` regenerated

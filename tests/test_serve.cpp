@@ -722,23 +722,18 @@ TEST_F(ServingSimTest, NeutralRobustnessKnobsAreNoOps)
     EXPECT_EQ(base.step_faults + base.swap_faults, 0u);
     EXPECT_EQ(base.swap_bytes, 0u);
 
-    // Uniform class metadata degenerates the metadata-keyed eviction
-    // policies to the legacy youngest-victim choice
-    // (kLargestFootprint keys on residency, which always varies).
-    for (const EvictPolicy evict :
-         {EvictPolicy::kLowestPriority,
-          EvictPolicy::kNearestDeadlineLast}) {
-        ServingOptions opts = paged_opts();
-        opts.evict = evict;
-        expect_same_run(run(opts, spec), base);
-    }
+    // Uniform priorities degenerate kLowestPriority to the legacy
+    // youngest-victim choice.
+    ServingOptions lowest = paged_opts();
+    lowest.evict = EvictPolicy::kLowestPriority;
+    expect_same_run(run(lowest, spec), base);
     // A single SLO-free class leaves the trace and schedule alone.
     RequestStreamSpec one_class = spec;
     one_class.classes = {{0, 1.0, 0.0, 0.0}};
     expect_same_run(run(paged_opts(), one_class), base);
     // Enforcement with no deadlines to enforce is inert.
     ServingOptions neutral = paged_opts();
-    neutral.deadline_policy = DeadlinePolicy::kDropMissed;
+    neutral.deadline_policy = DeadlinePolicy::kDropUnmeetable;
     expect_same_run(run(neutral, spec), base);
     // A seeded but zero-probability fault campaign is inert.
     neutral = paged_opts();
@@ -776,10 +771,10 @@ TEST_F(ServingSimTest, PriorityAdmissionJumpsQueue)
 
 TEST_F(ServingSimTest, EvictionPolicyPicksTheRightVictim)
 {
-    // Three staggered arrivals admit in id order (so admission age,
-    // priority, deadline, and footprint all disagree about the
-    // victim), sized to force exactly one preemption: at the first
-    // joint decode step two new pages are needed with one free.
+    // Three staggered arrivals admit in id order (so admission age
+    // and priority disagree about the victim), sized to force exactly
+    // one preemption: at the first joint decode step two new pages are
+    // needed with one free.
     const std::vector<Request> reqs = {
         {0, 0.0, 4, 4, 0, 0.0, 0.5},
         {1, 1e-9, 4, 4, 2, 0.0, 1000.0},
@@ -795,10 +790,8 @@ TEST_F(ServingSimTest, EvictionPolicyPicksTheRightVictim)
         EvictPolicy evict;
         int victim;
     } cases[] = {
-        {EvictPolicy::kYoungest, 2},         // latest admitted
-        {EvictPolicy::kLowestPriority, 0},   // priority 0
-        {EvictPolicy::kNearestDeadlineLast, 1},  // farthest deadline
-        {EvictPolicy::kLargestFootprint, 0},  // one decode row ahead
+        {EvictPolicy::kYoungest, 2},        // latest admitted
+        {EvictPolicy::kLowestPriority, 0},  // priority 0
     };
     for (const auto &c : cases) {
         ServingOptions o = opts;
@@ -1100,11 +1093,13 @@ TEST_F(ServingSimTest, SeededKnobSpacePricingParity)
     // simulate_serving prices each fused tap shape once per call and
     // attention per step. Over seeded draws of the scheduling knobs —
     // tight byte budgets (preemption, swaps), step faults (retries
-    // reprice), drop deadlines (the min-step bound) — every report
-    // must pass the audit, whose replay holds each logged step's tap
-    // share to a fresh, unshared reprice of its shape. The two
-    // systems alternate, so a memo leaking across calls would
-    // misprice the next draw.
+    // reprice), drop deadlines (the min-step bound), both eviction
+    // victims, load shedding and a shared prefix — every report must
+    // pass the audit, whose replay holds each logged step's tap share
+    // to a fresh, unshared reprice of its shape. The two systems
+    // alternate, so a memo leaking across calls would misprice the
+    // next draw. The victim, shedding and prefix knobs come from a
+    // second stream, so the first stream's draws stay as they were.
     const auto &model = find_model("llama-7b");
     const auto d_model = static_cast<std::size_t>(model.real.d_model);
     const auto n_layers = static_cast<std::size_t>(model.real.n_layers);
@@ -1114,9 +1109,12 @@ TEST_F(ServingSimTest, SeededKnobSpacePricingParity)
         {8, 7, 7, 6}, {16, 16, 16, 16}, {5, 4, 6, 4}};
     const std::vector<std::size_t> page_sizes = {8, 16, 32};
     SplitMix64 rng(2026);
+    SplitMix64 knobs(2027);
     std::size_t preempted = 0;
     std::size_t faulted = 0;
     std::size_t attn_on = 0;
+    std::size_t shed = 0;
+    std::size_t reused = 0;
     for (int draw = 0; draw < 20; ++draw) {
         const std::string system = draw % 2 == 0 ? "anda" : "fp-fp";
         ServingOptions opts;
@@ -1142,21 +1140,37 @@ TEST_F(ServingSimTest, SeededKnobSpacePricingParity)
         opts.deadline_policy = rng.uniform_index(2) == 1
                                    ? DeadlinePolicy::kDropUnmeetable
                                    : DeadlinePolicy::kNone;
+        opts.evict = knobs.uniform_index(2) == 1
+                         ? EvictPolicy::kLowestPriority
+                         : EvictPolicy::kYoungest;
+        // On these tight budgets, 8 s of queueing sheds part of the
+        // lowest waiting class.
+        opts.shed_timeout_s = knobs.uniform_index(2) == 1 ? 8.0 : 0.0;
+        opts.shared_prefix_len = knobs.uniform_index(2) == 1 ? 16 : 0;
         const auto requests = generate_requests(spec);
         // Tight byte budget: one worst-case request plus its
-        // copy-on-extend page, plus up to as many pages again.
+        // copy-on-extend page and the shared-prefix anchor's pages,
+        // plus up to as many pages again.
         std::size_t max_rows = 0;
+        std::size_t max_prompt = 0;
         for (const Request &r : requests) {
             max_rows = std::max(
                 max_rows, static_cast<std::size_t>(r.prompt_len +
                                                    r.output_len - 1));
+            max_prompt = std::max(
+                max_prompt, static_cast<std::size_t>(r.prompt_len));
         }
         const std::size_t ps = opts.page_size;
         const std::size_t need = (max_rows + ps - 1) / ps + 1;
+        const std::size_t anchor =
+            (std::min(max_prompt, static_cast<std::size_t>(
+                                      opts.shared_prefix_len)) +
+             ps - 1) /
+            ps;
         const std::size_t token_bytes =
             2 * n_layers * kv_row_bytes(opts.kv_format, d_model);
         opts.kv_byte_budget =
-            (need + rng.uniform_index(need)) * ps * token_bytes;
+            (need + anchor + rng.uniform_index(need)) * ps * token_bytes;
 
         const ServingReport report = simulate_serving(
             model, find_system(system), tech16(), requests, opts);
@@ -1168,12 +1182,16 @@ TEST_F(ServingSimTest, SeededKnobSpacePricingParity)
         preempted += report.preemptions > 0 ? 1 : 0;
         faulted += report.step_faults > 0 ? 1 : 0;
         attn_on += opts.attn_pricing ? 1 : 0;
+        shed += report.shed > 0 ? 1 : 0;
+        reused += report.reused_prefix_tokens > 0 ? 1 : 0;
     }
     // The draws must reach the paths they are meant to cover.
     EXPECT_GT(preempted, 0u);
     EXPECT_GT(faulted, 0u);
     EXPECT_GT(attn_on, 0u);
     EXPECT_LT(attn_on, 20u);
+    EXPECT_GT(shed, 0u);
+    EXPECT_GT(reused, 0u);
 }
 
 TEST_F(ServingSimTest, KvTrafficMatchesHandComputedTrace)

@@ -22,6 +22,14 @@ Rules enforced:
                  goes through containers and smart pointers;
                  `= delete` member suppression is of course allowed.
 
+  fn-length      No outermost function body under src/ may run past
+                 200 lines, counted from its opening to its closing
+                 brace. Lambdas and local blocks count toward their
+                 enclosing function, so a function cannot dodge the
+                 limit by holding its logic in closures; member
+                 functions of a class count one by one. A long
+                 function is a set of phases waiting for names.
+
 Usage: tools/anda_lint.py [repo-root]   (defaults to the script's
 parent directory). Exits 1 with file:line diagnostics on violations.
 """
@@ -43,6 +51,14 @@ ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
 CASSERT_RE = re.compile(r"^\s*#\s*include\s*[<\"](cassert|assert\.h)[>\"]")
 NEW_DELETE_RE = re.compile(r"(?<![\w_])(?:new|delete)(?![\w_])")
 DELETED_FN_RE = re.compile(r"=\s*delete\b")
+MAX_FN_LINES = 200
+# Brace heads that open a scope (its members are judged one by one)
+# rather than a function body.
+SCOPE_HEAD_RE = re.compile(
+    r"^(?:typedef\s+)?(?:class|struct|union|enum)\b|\bnamespace\b|"
+    r"^extern\s*\"")
+TEMPLATE_RE = re.compile(r"^template\s*<")
+FN_NAME_RE = re.compile(r"([\w:~]+)\s*\($")
 
 
 def strip_code(text: str) -> str:
@@ -108,6 +124,71 @@ def strip_code(text: str) -> str:
     return "".join(out)
 
 
+def strip_template_prefix(head: str) -> str:
+    """Drops leading `template <...>` parameter lists from a brace
+    head."""
+    while TEMPLATE_RE.match(head):
+        depth = 0
+        for i, c in enumerate(head):
+            if c == "<":
+                depth += 1
+            elif c == ">":
+                depth -= 1
+                if depth == 0:
+                    head = head[i + 1:].lstrip()
+                    break
+        else:
+            break
+    return head
+
+
+def long_functions(code: str) -> list[tuple[int, str, int]]:
+    """(first line, name, lines) of every outermost brace block that is
+    not a namespace / class / enum scope and spans more than
+    MAX_FN_LINES lines. `code` is strip_code() output."""
+    # Blank preprocessor lines (with their continuations): macro
+    # bodies are not function bodies.
+    lines = code.split("\n")
+    cont = False
+    for i, line in enumerate(lines):
+        if cont or line.lstrip().startswith("#"):
+            cont = line.rstrip().endswith("\\")
+            lines[i] = ""
+    code = "\n".join(lines)
+
+    found = []
+    stack: list[tuple[str, int, str]] = []  # (kind, line, name)
+    head_start = 0
+    lineno = 1
+    for i, c in enumerate(code):
+        if c == "\n":
+            lineno += 1
+        elif c == "{":
+            if any(kind != "scope" for kind, _, _ in stack):
+                stack.append(("nested", lineno, ""))
+            else:
+                head = strip_template_prefix(
+                    " ".join(code[head_start:i].split()))
+                if SCOPE_HEAD_RE.search(head):
+                    stack.append(("scope", lineno, ""))
+                else:
+                    # The name before the first "(" (none when the
+                    # head has no "(": the slice is then empty).
+                    m = FN_NAME_RE.search(head[:head.find("(") + 1])
+                    name = m.group(1) if m else "block"
+                    stack.append(("body", lineno, name))
+            head_start = i + 1
+        elif c == "}":
+            if stack:
+                kind, first, name = stack.pop()
+                if kind == "body" and lineno - first + 1 > MAX_FN_LINES:
+                    found.append((first, name, lineno - first + 1))
+            head_start = i + 1
+        elif c == ";":
+            head_start = i + 1
+    return found
+
+
 def lint_file(path: Path, root: Path, errors: list[str]) -> None:
     rel = path.relative_to(root)
     raw = path.read_text(encoding="utf-8")
@@ -139,6 +220,11 @@ def lint_file(path: Path, root: Path, errors: list[str]) -> None:
                 f"{rel}:{lineno}: no-naked-new: raw new/delete; use "
                 f"containers or smart pointers"
             )
+    for lineno, name, length in long_functions(code):
+        errors.append(
+            f"{rel}:{lineno}: fn-length: {name} runs {length} lines "
+            f"(limit {MAX_FN_LINES}); split it into named phases"
+        )
 
 
 def main(argv: list[str]) -> int:

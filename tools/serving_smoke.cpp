@@ -13,11 +13,16 @@
 // regenerates each completed request standalone through the public
 // prefill + decode_step API (serve_test::standalone_tokens). On top of
 // that, each scenario checks only what is specific to it, and an
-// executed one must reproduce its committed token checksum.
+// executed one must reproduce its committed token checksum. Every
+// scenario must also reproduce its committed schedule fingerprint
+// (serve_test::schedule_fingerprint): the token checksum does not
+// depend on the schedule, so the fingerprint is what catches a changed
+// victim, step cost or timeline.
 //
 // Registered as the `serving_smoke` ctest so the serving paths run
-// under the sanitizer CI lanes; writes each scenario's summary() line
-// to serving_smoke_summary.txt (uploaded as a CI artifact).
+// under the sanitizer CI lanes; writes each scenario's summary() line,
+// then one `fingerprint` line per scenario, to
+// serving_smoke_summary.txt (uploaded as a CI artifact).
 
 #include <algorithm>
 #include <cmath>
@@ -124,6 +129,10 @@ struct Scenario {
     /// priced only): any change to the executor's numerics or to the
     /// sampled tokens moves it.
     std::uint64_t checksum = 0;
+    /// Committed serve_test::schedule_fingerprint() of the run: any
+    /// change to a scheduling decision, a priced cost or a run total
+    /// moves it.
+    std::uint64_t fingerprint = 0;
 
     /// Executed scenarios price the executor's config (its real dims
     /// are llama-7b's) in every run; the others price llama-7b.
@@ -342,7 +351,8 @@ scenarios()
     RequestStreamSpec spec = stream(7117, 16, 500.0, 4, 24, 2, 12);
     ServingOptions opts = executed(priced(4, 32), spec.seed);
     opts.exec_temperature = 0.8;
-    table.push_back({"base", spec, opts, check_base, 0x935e8267df845cab});
+    table.push_back({"base", spec, opts, check_base, 0x935e8267df845cab,
+                     0x8295fe211f219bb0});
 
     // A burst against 11 pages of 8 rows: the largest request alone
     // needs pages(40 + 12 - 1) + pages(6) + 1 = 9, so max_batch = 4
@@ -355,10 +365,12 @@ scenarios()
     opts.preempt = PreemptPolicy::kRecompute;
     // Both policies generate the same tokens, so share one checksum.
     table.push_back(
-        {"paged-recompute", spec, opts, check_paged, 0xf0962c46ffc4d3e2});
+        {"paged-recompute", spec, opts, check_paged, 0xf0962c46ffc4d3e2,
+         0x786cced9565d998d});
     opts.preempt = PreemptPolicy::kSwap;
     table.push_back(
-        {"paged-swap", spec, opts, check_paged, 0xf0962c46ffc4d3e2});
+        {"paged-swap", spec, opts, check_paged, 0xf0962c46ffc4d3e2,
+         0xab88e2c7dbcaf6d2});
 
     // Survivable chaos on the same pool: step faults retry, swap-in
     // faults fall back to recompute, a roomy retry budget fails
@@ -373,7 +385,8 @@ scenarios()
     opts.faults.step_fail_prob = 0.25;
     opts.faults.swap_fail_prob = 0.5;
     opts.faults.retry_budget = 1000000;
-    table.push_back({"chaos", spec, opts, check_chaos, 0x8710cda9a619b70a});
+    table.push_back({"chaos", spec, opts, check_chaos, 0x8710cda9a619b70a,
+                     0xe2a749ddc5468f1d});
 
     // Graceful degradation: a classed overload with deadline drops,
     // shedding and a tight retry budget (terminal failures possible),
@@ -397,13 +410,15 @@ scenarios()
     opts.faults.step_fail_prob = 0.2;
     opts.faults.swap_fail_prob = 0.5;
     opts.faults.retry_budget = 2;
-    table.push_back({"degrade", spec, opts, check_degrade, 0});
+    table.push_back(
+        {"degrade", spec, opts, check_degrade, 0, 0x66ff74db03231f25});
 
     // Attention and KV-traffic pricing on a burst.
     spec = stream(5566, 16, 0.0, 16, 192, 4, 32);
     opts = priced(8, 128);
     opts.attn_pricing = true;
-    table.push_back({"attention", spec, opts, check_attention, 0});
+    table.push_back(
+        {"attention", spec, opts, check_attention, 0, 0xc56a50dd4fb4ce41});
 
     // An Anda m=7 KV cache under a 512 MiB byte budget, executed.
     spec = stream(7788, 48, 0.0, 16, 48, 8, 24);
@@ -413,8 +428,18 @@ scenarios()
     opts.kv_byte_budget = std::size_t{512} << 20;
     opts.kv_format = KvFormat::anda(7);
     table.push_back(
-        {"kv-anda-m7", spec, opts, check_kv_quant, 0xad7ba484c6ebcc33});
+        {"kv-anda-m7", spec, opts, check_kv_quant, 0xad7ba484c6ebcc33,
+         0x48df3d947d67a4b0});
     return table;
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
 }
 
 }  // namespace
@@ -423,6 +448,7 @@ int
 main()
 {
     std::string summary;
+    std::string fingerprints;
     for (const Scenario &s : scenarios()) {
         const ServingReport report = s.run_with("run", s.opts);
         s.specific(s, report);
@@ -430,15 +456,16 @@ main()
         s.expect(same_schedule(report, again) && same_tokens(report, again),
                  "run is not deterministic");
         summary += s.name + ": " + report.summary();
+        const std::uint64_t fp = serve_test::schedule_fingerprint(report);
+        fingerprints += "fingerprint " + s.name + ": " + hex(fp) + "\n";
+        s.expect(fp == s.fingerprint,
+                 "schedule fingerprint " + hex(fp) +
+                     " differs from the committed value");
         if (s.opts.executor == nullptr) {
             continue;
         }
-        char got[17];
-        std::snprintf(got, sizeof(got), "%016llx",
-                      static_cast<unsigned long long>(
-                          report.generated_checksum()));
         s.expect(report.generated_checksum() == s.checksum,
-                 std::string("executed checksum ") + got +
+                 "executed checksum " + hex(report.generated_checksum()) +
                      " differs from the committed value");
 
         ServingOptions twin_opts = s.opts;
@@ -458,6 +485,7 @@ main()
         summary += s.name + " twin: " + twin.summary();
     }
 
+    summary += fingerprints;
     std::fputs(summary.c_str(), stdout);
     std::ofstream("serving_smoke_summary.txt") << summary;
     if (g_failures != 0) {
